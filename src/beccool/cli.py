@@ -25,17 +25,15 @@ def _fail(code, kind, message):
 
 
 def _load(args):
-    if args.config:
-        config, scenario = harness.load_config(args.config)
-    else:
-        config, scenario = harness.ExperimentConfig(), None
-    if scenario is None:
-        scenario = harness.Scenario()
-    if args.scenario:
+    """(config, scenario) from --config or the defaults, plus any overrides."""
+    config, scenario = (harness.load_config(args.config) if args.config
+                        else (harness.ExperimentConfig(), None))
+    scenario = scenario or harness.Scenario()
+    if getattr(args, "scenario", None):
         scenario = replace(scenario, kind=args.scenario)
-    if args.feedback:
+    if getattr(args, "feedback", None):
         scenario = replace(scenario, feedback=args.feedback == "on")
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         scenario = replace(scenario, seed=args.seed)
     return config, scenario
 
@@ -86,28 +84,18 @@ def cmd_analyze(args):
     paths = sorted(glob.glob(os.path.join(args.records, "run_*.csv")))
     if not paths:
         return _fail(2, "usage", f"no run_*.csv records under {args.records}")
-    config, _ = (harness.load_config(args.config) if args.config
-                 else (harness.ExperimentConfig(), None))
-    trap = config.trap
-    tau = config.loop.sample_period
-    sig = config.noise.offline_sigma
+    config, _ = _load(args)
     rows = []
     for p in paths:
         data, meta = harness.read_run_csv(p)
-        seed = int(meta.split("seed=")[1].split()[0])
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(6)[5])
-        row = {"seed": seed, "feedback": 1 if "feedback=1" in meta else 0}
-        for mode, omega, col, trap_col in (("x", trap.omega_x, "x", "trap_x"),
-                                           ("z", trap.omega_z, "z", "trap_z"),
-                                           ("w", trap.omega_q, "w", None)):
-            r = data[col] + (sig * rng.standard_normal(data[col].size) if sig else 0.0)
-            n_meas = analysis.phonon_occupancy(
-                r, omega, tau, r_trap=data[trap_col] if trap_col else None,
-                mass=trap.atom_mass, hbar=trap.hbar)
-            row[f"n_{mode}_meas"] = n_meas
-            row[f"n_{mode}_true"] = analysis.bias_correct(
-                n_meas, sig, omega, tau, trap.a_ho(omega))
-        rows.append(row)
+        tags = dict(tok.split("=", 1) for tok in meta.split() if "=" in tok)
+        missing = {"config_hash", "seed", "scenario", "feedback"} - tags.keys()
+        if missing:
+            raise ValueError(f"{p}: run header lacks {', '.join(sorted(missing))}")
+        scenario = harness.Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1")
+        record = harness.RunRecord(data=data, scenario=scenario,
+                                   config_hash=tags["config_hash"], seed=int(tags["seed"]))
+        rows.append(harness.summarize_run(record, config))
     os.makedirs(args.out, exist_ok=True)
     modes = {k: np.array([r[k] for r in rows])
              for k in rows[0] if k.startswith("n_")}
@@ -119,8 +107,7 @@ def cmd_analyze(args):
 
 
 def cmd_calibrate(args):
-    config, _ = (harness.load_config(args.config) if args.config
-                 else (harness.ExperimentConfig(), None))
+    config, _ = _load(args)
     if args.what == "gains":
         g = nominal_transfer_matrix()
         l_nom = loop_gain(g, nominal_gain_matrix())

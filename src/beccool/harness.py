@@ -11,8 +11,9 @@ measurement *differences* ever reach the controller, so offsets are harmless.
 
 import hashlib
 import json
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,6 +68,10 @@ class LoopConfig:
     meas_sign: float = -1.0   # camera-to-actuator axis calibration
     render_model: str = "linear"  # 'linear' (alias-free) or 'fresnel'
 
+    def __post_init__(self):
+        if self.render_model not in ("linear", "fresnel"):
+            raise ValueError(f"unknown render model {self.render_model!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -80,6 +85,10 @@ class ExperimentConfig:
     loop: LoopConfig = field(default_factory=LoopConfig)
     gain_mode: str = "nominal"  # 'nominal' or 'calibrated'
 
+    def __post_init__(self):
+        if self.gain_mode not in ("nominal", "calibrated"):
+            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+
     def resolved_controller(self, g, enable_time=None):
         """Controller config with the gain matrix implied by gain_mode.
 
@@ -89,11 +98,9 @@ class ExperimentConfig:
         """
         if self.gain_mode == "nominal":
             k = nominal_gain_matrix()
-        elif self.gain_mode == "calibrated":
+        else:
             l_nom = nominal_transfer_matrix() @ nominal_gain_matrix()
             k = calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
-        else:
-            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
         out = replace(self.controller, k=k, sample_period=self.loop.sample_period)
         if enable_time is not None:
             out = replace(out, enable_time=enable_time)
@@ -120,8 +127,13 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("dipole_kick", "quadrupole_drive", "quiet"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.duration <= 0 or self.enable_time < 0 or self.kick_time < 0:
+        if (self.duration <= 0 or self.enable_time < 0 or self.kick_time < 0
+                or self.hold < 0):
             raise ValueError("scenario times must be non-negative, duration positive")
+        if self.hold_random is not None:
+            lo, hi = self.hold_random
+            if not 0 <= lo <= hi:
+                raise ValueError(f"hold_random needs 0 <= lo <= hi, got {self.hold_random!r}")
 
 
 RECORD_COLUMNS = (
@@ -331,8 +343,11 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
         sc = replace(scenario, seed=seeds[i])
         try:
             rec = run_experiment(sc, config)
-            return i, rec, summarize_run(rec, config), None
         except RuntimeError as exc:
+            return i, None, None, str(exc)
+        try:
+            return i, rec, summarize_run(rec, config), None
+        except ValueError as exc:  # record shorter than the accounting window
             return i, None, None, str(exc)
 
     results = [None] * n_runs
@@ -429,57 +444,79 @@ def dump_frames_writer(out_dir, every=10):
 # flat key=value config files
 
 
+# the three file encodings that are not the field's own type
+_Codec = namedtuple("_Codec", "encode decode")
+_BOOL = _Codec(int, lambda text: bool(int(text)))
+_NONE_AS_ZERO = _Codec(lambda v: v or 0.0, lambda text: float(text) or None)
+_RANGE = _Codec(lambda v: f"{v[0]!r}:{v[1]!r}" if v else "",
+                lambda text: tuple(float(v) for v in text.split(":")) if text else None)
+
+# flat key -> (section, field[, codec]); section "" is the ExperimentConfig
+# itself and "scenario" the Scenario.  Values are stored in SI verbatim so a
+# file round-trips exactly; defaults come only from the dataclasses.
+_KEYS = {
+    "trap.f_x_hz": ("trap", "f_x"),
+    "trap.f_y_hz": ("trap", "f_y"),
+    "trap.f_z_hz": ("trap", "f_z"),
+    "trap.w_eq0_m": ("trap", "w_eq0"),
+    "trap.width_damping_hz": ("trap", "width_damping"),
+    "optics.nx": ("grid", "nx"),
+    "optics.nz": ("grid", "nz"),
+    "optics.pitch_m": ("grid", "pitch"),
+    "optics.xi_m": ("optics", "xi"),
+    "optics.eta_m": ("optics", "eta"),
+    "optics.wavelength_m": ("optics", "wavelength"),
+    "optics.phi0": ("phase", "phi0"),
+    "optics.r_x_m": ("phase", "r_x"),
+    "optics.r_z_m": ("phase", "r_z"),
+    "optics.render_model": ("loop", "render_model"),
+    "noise.photons_per_pixel": ("noise", "photons_per_pixel"),
+    "noise.offline_sigma_m": ("noise", "offline_sigma"),
+    "noise.reference_fringes": ("noise", "reference_fringes", _BOOL),
+    "noise.process_velocity_std": ("noise", "process_velocity_std"),
+    "noise.g_drift_scale": ("noise", "g_drift_scale"),
+    "gains.mode": ("", "gain_mode"),
+    "gains.output_cutoff_hz": ("controller", "output_cutoff_hz", _NONE_AS_ZERO),
+    "gains.saturation_volts": ("controller", "saturation", _NONE_AS_ZERO),
+    "gains.clamp_before_filter": ("controller", "clamp_before_filter", _BOOL),
+    "estimator.region_halfwidth_px": ("estimator", "region_halfwidth_px"),
+    "estimator.background_margin_frac": ("estimator", "background_margin_frac"),
+    "estimator.x_cutoff_hz": ("estimator", "x_cutoff_hz"),
+    "estimator.w_cutoff_hz": ("estimator", "w_cutoff_hz"),
+    "estimator.degenerate_mass_fraction": ("estimator", "degenerate_mass_fraction"),
+    "loop.sample_period_s": ("loop", "sample_period"),
+    "loop.delay_s": ("loop", "delay"),
+    "loop.meas_sign": ("loop", "meas_sign"),
+    "scenario.kind": ("scenario", "kind"),
+    "scenario.feedback": ("scenario", "feedback", _BOOL),
+    "scenario.enable_time_s": ("scenario", "enable_time"),
+    "scenario.kick_time_s": ("scenario", "kick_time"),
+    "scenario.kick_dx_m": ("scenario", "kick_dx"),
+    "scenario.kick_dz_m": ("scenario", "kick_dz"),
+    "scenario.kick_domega_frac": ("scenario", "kick_domega_frac"),
+    "scenario.drive_amp_frac": ("scenario", "drive_amp_frac"),
+    "scenario.drive_freq_rad_s": ("scenario", "drive_freq"),
+    "scenario.drive_periods": ("scenario", "drive_periods"),
+    "scenario.duration_s": ("scenario", "duration"),
+    "scenario.hold_s": ("scenario", "hold"),
+    "scenario.hold_random_s": ("scenario", "hold_random", _RANGE),
+    "scenario.seed": ("scenario", "seed"),
+}
+
+
+def _section(config, scenario, section):
+    if section == "scenario":
+        return scenario
+    return getattr(config, section) if section else config
+
+
 def _flatten(config, scenario=None):
-    # values are stored in SI verbatim so a file round-trips exactly
-    c = config
-    flat = {
-        "trap.f_x_hz": c.trap.f_x, "trap.f_y_hz": c.trap.f_y, "trap.f_z_hz": c.trap.f_z,
-        "trap.w_eq0_m": c.trap.w_eq0,
-        "trap.width_damping_hz": c.trap.width_damping,
-        "optics.nx": c.grid.nx, "optics.nz": c.grid.nz,
-        "optics.pitch_m": c.grid.pitch,
-        "optics.xi_m": c.optics.xi, "optics.eta_m": c.optics.eta,
-        "optics.wavelength_m": c.optics.wavelength,
-        "optics.phi0": c.phase.phi0,
-        "optics.r_x_m": c.phase.r_x, "optics.r_z_m": c.phase.r_z,
-        "optics.render_model": c.loop.render_model,
-        "noise.photons_per_pixel": c.noise.photons_per_pixel,
-        "noise.offline_sigma_m": c.noise.offline_sigma,
-        "noise.reference_fringes": int(c.noise.reference_fringes),
-        "noise.process_velocity_std": c.noise.process_velocity_std,
-        "noise.g_drift_scale": c.noise.g_drift_scale,
-        "gains.mode": c.gain_mode,
-        "gains.output_cutoff_hz": c.controller.output_cutoff_hz or 0.0,
-        "gains.saturation_volts": c.controller.saturation or 0.0,
-        "gains.clamp_before_filter": int(c.controller.clamp_before_filter),
-        "estimator.region_halfwidth_px": c.estimator.region_halfwidth_px,
-        "estimator.background_margin_frac": c.estimator.background_margin_frac,
-        "estimator.x_cutoff_hz": c.estimator.x_cutoff_hz,
-        "estimator.w_cutoff_hz": c.estimator.w_cutoff_hz,
-        "estimator.degenerate_mass_fraction": c.estimator.degenerate_mass_fraction,
-        "loop.sample_period_s": c.loop.sample_period,
-        "loop.delay_s": c.loop.delay,
-        "loop.meas_sign": c.loop.meas_sign,
-    }
-    if scenario is not None:
-        s = scenario
-        flat.update({
-            "scenario.kind": s.kind,
-            "scenario.feedback": int(s.feedback),
-            "scenario.enable_time_s": s.enable_time,
-            "scenario.kick_time_s": s.kick_time,
-            "scenario.kick_dx_m": s.kick_dx,
-            "scenario.kick_dz_m": s.kick_dz,
-            "scenario.kick_domega_frac": s.kick_domega_frac,
-            "scenario.drive_amp_frac": s.drive_amp_frac,
-            "scenario.drive_freq_rad_s": s.drive_freq,
-            "scenario.drive_periods": s.drive_periods,
-            "scenario.duration_s": s.duration,
-            "scenario.hold_s": s.hold,
-            "scenario.hold_random_s": (f"{s.hold_random[0]!r}:{s.hold_random[1]!r}"
-                                       if s.hold_random else ""),
-            "scenario.seed": s.seed,
-        })
+    flat = {}
+    for key, (section, name, *codec) in _KEYS.items():
+        obj = _section(config, scenario, section)
+        if obj is not None:
+            value = getattr(obj, name)
+            flat[key] = codec[0].encode(value) if codec else value
     return flat
 
 
@@ -506,83 +543,28 @@ def load_config(path):
     return config_from_flat(flat)
 
 
-def _get(flat, key, cast, default):
-    if key not in flat:
-        return default
-    return cast(flat[key])
-
-
 def config_from_flat(flat):
-    f = flat
-    trap = TrapConfig(
-        f_x=_get(f, "trap.f_x_hz", float, 20.3),
-        f_y=_get(f, "trap.f_y_hz", float, 85.6),
-        f_z=_get(f, "trap.f_z_hz", float, 70.3),
-        w_eq0=_get(f, "trap.w_eq0_m", float, 5e-6 * 70.3 / 20.3),
-        width_damping=_get(f, "trap.width_damping_hz", float, 0.0),
-    )
-    grid = GridSpec(
-        nx=_get(f, "optics.nx", int, 128), nz=_get(f, "optics.nz", int, 128),
-        pitch=_get(f, "optics.pitch_m", float, 5.5e-6),
-    )
-    optics = OpticsParams(
-        xi=_get(f, "optics.xi_m", float, 800e-6),
-        eta=_get(f, "optics.eta_m", float, 5.5e-6),
-        wavelength=_get(f, "optics.wavelength_m", float, 780.241e-9),
-    )
-    phase = PhaseParams(
-        phi0=_get(f, "optics.phi0", float, -0.08),
-        r_x=_get(f, "optics.r_x_m", float, 5e-6 * 70.3 / 20.3),
-        r_z=_get(f, "optics.r_z_m", float, 5e-6),
-    )
-    est = EstimatorConfig(
-        region_halfwidth_px=_get(f, "estimator.region_halfwidth_px", int, 12),
-        background_margin_frac=_get(f, "estimator.background_margin_frac", float, 0.15),
-        x_cutoff_hz=_get(f, "estimator.x_cutoff_hz", float, 60.0),
-        w_cutoff_hz=_get(f, "estimator.w_cutoff_hz", float, 100.0),
-        degenerate_mass_fraction=_get(f, "estimator.degenerate_mass_fraction", float, 1e-4),
-    )
-    out_cut = _get(f, "gains.output_cutoff_hz", float, 100.0)
-    sat = _get(f, "gains.saturation_volts", float, 0.0)
-    ctrl = ControllerConfig(
-        output_cutoff_hz=out_cut or None,
-        saturation=sat or None,
-        clamp_before_filter=bool(_get(f, "gains.clamp_before_filter", int, 0)),
-    )
-    noise = NoiseConfig(
-        photons_per_pixel=_get(f, "noise.photons_per_pixel", float, 2e7),
-        offline_sigma=_get(f, "noise.offline_sigma_m", float, 0.12e-6),
-        reference_fringes=bool(_get(f, "noise.reference_fringes", int, 1)),
-        process_velocity_std=_get(f, "noise.process_velocity_std", float, 0.0),
-        g_drift_scale=_get(f, "noise.g_drift_scale", float, 0.0),
-    )
-    loop = LoopConfig(
-        sample_period=_get(f, "loop.sample_period_s", float, 1e-3),
-        delay=_get(f, "loop.delay_s", float, 960e-6),
-        meas_sign=_get(f, "loop.meas_sign", float, -1.0),
-        render_model=_get(f, "optics.render_model", str, "linear"),
-    )
-    config = ExperimentConfig(trap=trap, grid=grid, optics=optics, phase=phase,
-                              estimator=est, controller=ctrl, noise=noise, loop=loop,
-                              gain_mode=_get(f, "gains.mode", str, "nominal"))
-    scenario = None
-    if any(k.startswith("scenario.") for k in f):
-        hold_rand = f.get("scenario.hold_random_s", "").strip()
-        scenario = Scenario(
-            kind=_get(f, "scenario.kind", str, "dipole_kick"),
-            feedback=bool(_get(f, "scenario.feedback", int, 1)),
-            enable_time=_get(f, "scenario.enable_time_s", float, 0.020),
-            kick_time=_get(f, "scenario.kick_time_s", float, 0.010),
-            kick_dx=_get(f, "scenario.kick_dx_m", float, -8e-6),
-            kick_dz=_get(f, "scenario.kick_dz_m", float, -2.5e-6),
-            kick_domega_frac=_get(f, "scenario.kick_domega_frac", float, 0.10),
-            drive_amp_frac=_get(f, "scenario.drive_amp_frac", float, 0.05),
-            drive_freq=_get(f, "scenario.drive_freq_rad_s", float, 0.0),
-            drive_periods=_get(f, "scenario.drive_periods", int, 4),
-            duration=_get(f, "scenario.duration_s", float, 0.200),
-            hold=_get(f, "scenario.hold_s", float, 0.0),
-            hold_random=(tuple(float(v) for v in hold_rand.split(":"))
-                         if hold_rand else None),
-            seed=_get(f, "scenario.seed", int, 0),
-        )
-    return config, scenario
+    """(ExperimentConfig, Scenario or None) from flat key -> text values.
+
+    Absent keys keep the dataclass defaults; a Scenario is built only when
+    some scenario.* key is present.  Unknown keys are rejected.
+    """
+    unknown = sorted(set(flat) - _KEYS.keys())
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    config, scenario = ExperimentConfig(), Scenario()
+    updates = {}
+    for key, text in flat.items():
+        section, name, *codec = _KEYS[key]
+        if codec:
+            value = codec[0].decode(text)
+        else:
+            obj = _section(config, scenario, section)
+            value = next(f.type for f in fields(obj) if f.name == name)(text)
+        updates.setdefault(section, {})[name] = value
+    scenario_updates = updates.pop("scenario", None)
+    config = replace(config, **updates.pop("", {}),
+                     **{s: replace(getattr(config, s), **kw) for s, kw in updates.items()})
+    if scenario_updates is None:
+        return config, None
+    return config, replace(scenario, **scenario_updates)

@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
-from .constants import RB87_D2_WAVELENGTH
+from .constants import RB87_D2_WAVELENGTH, TF_RADIUS_X
 
 
 def _is_pow2(n):
@@ -97,7 +97,7 @@ class PhaseParams:
     """Thomas-Fermi phase profile: peak phase, radii and center."""
 
     phi0: float = -0.08
-    r_x: float = 5e-6 * 70.3 / 20.3
+    r_x: float = TF_RADIUS_X
     r_z: float = 5e-6
     x0: float = 0.0
     z0: float = 0.0

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constants import HBAR, RB87_MASS
+from .constants import HBAR, RB87_MASS, TF_RADIUS_X
 
 # Low-lying axial quadrupole of a prolate trap oscillates at sqrt(5/2) * omega_x.
 QUADRUPOLE_RATIO = float(np.sqrt(2.5))
@@ -44,8 +44,7 @@ class TrapConfig:
     z_trap0: float = 0.0
     atom_mass: float = RB87_MASS
     hbar: float = HBAR
-    # z-direction TF radius ~5 um scaled by f_z/f_x (radius ~ 1/omega)
-    w_eq0: float = 5e-6 * 70.3 / 20.3
+    w_eq0: float = TF_RADIUS_X
     width_damping: float = 0.0  # 1/s, exponential amplitude decay of the width mode
 
     def __post_init__(self):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import beccool.cli as cli
 from beccool import (
     ExperimentConfig,
+    LoopConfig,
     NoiseConfig,
     Scenario,
     config_hash,
@@ -18,6 +20,7 @@ from beccool import (
     save_config,
     summarize_run,
 )
+from beccool import harness
 from beccool.harness import read_run_csv, write_summary_json
 
 QUICK = Scenario(kind="quiet", feedback=False, duration=0.05, seed=3)
@@ -192,6 +195,64 @@ def test_config_bad_line_rejected(tmp_path):
         load_config(path)
 
 
+def test_config_unknown_key_rejected(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("noise.photons_per_pixle = 1\n")
+    with pytest.raises(ValueError, match="noise.photons_per_pixle"):
+        load_config(path)
+
+
+def test_config_render_model_validated(tmp_path):
+    with pytest.raises(ValueError, match="render model"):
+        LoopConfig(render_model="lineer")
+    path = tmp_path / "bad.cfg"
+    path.write_text("optics.render_model = lineer\n")
+    with pytest.raises(ValueError, match="render model"):
+        load_config(path)
+
+
+def test_config_gain_mode_validated():
+    with pytest.raises(ValueError, match="gain mode"):
+        ExperimentConfig(gain_mode="calibrate")
+
+
+@pytest.mark.parametrize("bad", [dict(hold=-0.01), dict(hold_random=(0.05, 0.01)),
+                                 dict(hold_random=(-0.01, 0.02))])
+def test_scenario_hold_ranges_validated(bad):
+    with pytest.raises(ValueError):
+        Scenario(**bad)
+
+
+def test_readme_config_table_lists_every_key():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        section = f.read().split("## Configuration files", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert keys == set(harness._KEYS)
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_monte_carlo_records_short_runs_as_failures(parallel):
+    # runs shorter than the 50-sample x-mode accounting window are recorded
+    # as failures; the long runs of the same ensemble are still summarized
+    sc = Scenario(kind="quiet", feedback=False, duration=0.03, hold_random=(0.0, 0.05))
+    records, summaries, summary = monte_carlo(sc, n_runs=6, base_seed=0,
+                                              parallel=parallel, keep_records=True)
+    assert 0 < summary["n_failed"] < 6
+    assert len(summary["failed_runs"]) == summary["n_failed"]
+    assert len(records) == len(summaries) == 6 - summary["n_failed"]
+    assert all(len(rec) >= 50 for rec in records)
+    assert summary["stats"]["n_x_true"]["n"] == len(summaries)
+
+
+def test_monte_carlo_all_short_runs_fail():
+    sc = Scenario(kind="quiet", feedback=False, duration=0.03)
+    with pytest.raises(RuntimeError, match="all 2 runs failed"):
+        monte_carlo(sc, n_runs=2)
+
+
 def test_measure_pipeline_noise_levels():
     # at the calibrated default photon budget the in-situ noise sits at the
     # sub-0.1 um scale for the centroids
@@ -276,3 +337,37 @@ def test_cli_dump_frames(tmp_path):
     assert code == 0
     frames = os.listdir(out / "frames")
     assert "frame_00000.txt" in frames and "frame_00010.txt" in frames
+
+
+def test_cli_unknown_config_key_exits_2(tmp_path, capsys):
+    cfgp = _write_quick_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + "noise.photons_per_pixle = 1\n")
+    code = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ")
+    payload = json.loads(err.split(" ", 1)[1])
+    assert payload["kind"] == "config"
+    assert "noise.photons_per_pixle" in payload["message"]
+
+
+@pytest.mark.parametrize("kind, seed", [("dipole_kick", 3), ("quadrupole_drive", 11)])
+def test_cli_analyze_reproduces_run_phonons(tmp_path, kind, seed):
+    runs, ana = tmp_path / "runs", tmp_path / "ana"
+    assert cli.main(["run", "--scenario", kind, "--seed", str(seed),
+                     "--out", str(runs)]) == 0
+    assert cli.main(["analyze", "--records", str(runs), "--out", str(ana)]) == 0
+    phonons = json.loads((runs / f"run_{seed}.json").read_text())["phonons"]
+    stats = json.loads((ana / "analysis.json").read_text())["stats"]
+    # one record, so each mean is its occupancy; the CSV's %.10e round-off
+    # of the trajectory is the only difference
+    assert set(stats) == {k for k in phonons if k.startswith("n_")}
+    for key, st in stats.items():
+        assert st["mean"] == pytest.approx(phonons[key], abs=1e-9)
+
+
+def test_cli_analyze_rejects_incomplete_header(tmp_path, capsys):
+    (tmp_path / "run_3.csv").write_text("# beccool-run seed=3\nt,x\n0.0,0.0\n")
+    code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "run header lacks config_hash, feedback, scenario" in capsys.readouterr().err
