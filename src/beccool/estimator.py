@@ -7,6 +7,7 @@ always produce the identical measurement.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -54,6 +55,13 @@ class RegionMask:
         if np.any(self.atoms & self.background):
             raise ValueError("atom and background regions must be disjoint")
 
+    @cached_property
+    def atom_box(self):
+        """Row and column slices of the smallest rectangle holding the atom region."""
+        rows = np.flatnonzero(self.atoms.any(axis=1))
+        cols = np.flatnonzero(self.atoms.any(axis=0))
+        return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+
     @classmethod
     def centered(cls, grid, halfwidth_px=12, margin_frac=0.15):
         """Square atom region at the frame center; background = outer margin band."""
@@ -81,11 +89,7 @@ def density_estimate(frame, reference, mask):
     grid = frame.grid
     current = frame.data / reference.data - 1.0
     spec = sfft.rfft2(current)
-    k_sq = grid.k_sq_half
-    inv = np.zeros_like(k_sq)
-    nonzero = k_sq > 0
-    inv[nonzero] = 1.0 / k_sq[nonzero]  # DC bin stays zero: the regularizer
-    rho = sfft.irfft2(spec * inv, s=(grid.nz, grid.nx))
+    rho = sfft.irfft2(spec * grid.inv_k_sq_half, s=(grid.nz, grid.nx))
     rho -= rho[mask.background].mean()
     return ImageGrid(grid, rho)
 
@@ -192,8 +196,14 @@ class InSituEstimator:
     def process(self, frame, reference, t):
         """One frame through the whole pipeline; returns the feedback measurement."""
         rho = density_estimate(frame, reference, self.mask)
-        rho6 = nonlinear_filter(rho)
-        mass = np.where(self.mask.atoms, rho6.data, 0.0).sum()
+        # the moments read only the atom region: filter a contiguous copy of
+        # its bounding box (the same pow loop as on a whole frame) and leave
+        # every other pixel zero, as np.where(atoms, rho**6, 0) would
+        box = self.mask.atom_box
+        rho6 = np.zeros_like(rho.data)
+        rho6[box] = np.where(self.mask.atoms[box],
+                             nonlinear_filter(np.ascontiguousarray(rho.data[box])), 0.0)
+        mass = rho6.sum()
         if self._mass_ref is None:
             self._mass_ref = mass
         if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:

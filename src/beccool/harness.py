@@ -448,8 +448,18 @@ def dump_frames_writer(out_dir, every=10):
 _Codec = namedtuple("_Codec", "encode decode")
 _BOOL = _Codec(int, lambda text: bool(int(text)))
 _NONE_AS_ZERO = _Codec(lambda v: v or 0.0, lambda text: float(text) or None)
-_RANGE = _Codec(lambda v: f"{v[0]!r}:{v[1]!r}" if v else "",
-                lambda text: tuple(float(v) for v in text.split(":")) if text else None)
+
+
+def _decode_range(text):
+    if not text:
+        return None
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ValueError(f"expected lo:hi, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+_RANGE = _Codec(lambda v: f"{v[0]!r}:{v[1]!r}" if v else "", _decode_range)
 
 # flat key -> (section, field[, codec]); section "" is the ExperimentConfig
 # itself and "scenario" the Scenario.  Values are stored in SI verbatim so a
@@ -547,7 +557,8 @@ def config_from_flat(flat):
     """(ExperimentConfig, Scenario or None) from flat key -> text values.
 
     Absent keys keep the dataclass defaults; a Scenario is built only when
-    some scenario.* key is present.  Unknown keys are rejected.
+    some scenario.* key is present.  Unknown keys are rejected, and a value
+    that does not parse raises a ValueError naming its key.
     """
     unknown = sorted(set(flat) - _KEYS.keys())
     if unknown:
@@ -556,11 +567,14 @@ def config_from_flat(flat):
     updates = {}
     for key, text in flat.items():
         section, name, *codec = _KEYS[key]
-        if codec:
-            value = codec[0].decode(text)
-        else:
-            obj = _section(config, scenario, section)
-            value = next(f.type for f in fields(obj) if f.name == name)(text)
+        try:
+            if codec:
+                value = codec[0].decode(text)
+            else:
+                obj = _section(config, scenario, section)
+                value = next(f.type for f in fields(obj) if f.name == name)(text)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config key {key}: {exc}") from exc
         updates.setdefault(section, {})[name] = value
     scenario_updates = updates.pop("scenario", None)
     config = replace(config, **updates.pop("", {}),

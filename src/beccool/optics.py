@@ -73,6 +73,14 @@ class GridSpec:
     def k_sq_half(self):
         return self.kx_half[None, :] ** 2 + self.kz[:, None] ** 2
 
+    @cached_property
+    def inv_k_sq_half(self):
+        """Regularized inverse Laplacian 1/k^2 on the rfft grid; DC bin zero."""
+        inv = np.zeros_like(self.k_sq_half)
+        nonzero = self.k_sq_half > 0
+        inv[nonzero] = 1.0 / self.k_sq_half[nonzero]
+        return inv
+
 
 @dataclass
 class ImageGrid:
@@ -163,9 +171,15 @@ def _j2_over_x2(x):
 
 def _tf_spectrum_on(params, kx, kz):
     # 2D Fourier transform of the TF profile: 6 pi j2(kappa)/kappa^2 times
-    # the ellipse area scale, with the center shift as a separable phase
-    kap = np.sqrt((kx[None, :] * params.r_x) ** 2 + (kz[:, None] * params.r_z) ** 2)
-    amp = params.phi0 * params.r_x * params.r_z * 6.0 * np.pi * _j2_over_x2(kap)
+    # the ellipse area scale, with the center shift as a separable phase.
+    # The amplitude is even in kz and kz is in fftfreq order, whose rows
+    # nz-j hold the exact negatives of rows j: evaluate rows 0..nz/2 only
+    # and mirror rows 1..nz/2-1 onto nz-1..nz/2+1.
+    half = kz.size // 2 + 1
+    kap = np.sqrt((kx[None, :] * params.r_x) ** 2 + (kz[:half, None] * params.r_z) ** 2)
+    amp = np.empty((kz.size, kx.size))
+    amp[:half] = params.phi0 * params.r_x * params.r_z * 6.0 * np.pi * _j2_over_x2(kap)
+    amp[half:] = amp[half - 2:0:-1]
     shift = np.exp(-1j * kx[None, :] * params.x0) * np.exp(-1j * kz[:, None] * params.z0)
     return amp * shift
 

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft as sfft
 
 from beccool import (
     EstimatorConfig,
@@ -9,6 +13,7 @@ from beccool import (
     InSituEstimator,
     LowPass,
     MeasurementVector,
+    OpticsParams,
     PhaseParams,
     RegionMask,
     density_estimate,
@@ -267,3 +272,91 @@ def test_estimator_degenerate_first_frame_raises(grid, flat_ref):
     est = InSituEstimator(grid)
     with pytest.raises(ValueError, match="degenerate"):
         est.process(flat_ref, flat_ref, 0.0)
+
+
+# --- the atom-box filter matches the full-frame pipeline bit for bit ----------
+
+GRID = GridSpec()
+
+
+class _FullFrameEstimator(InSituEstimator):
+    """Reference pipeline: inverse Laplacian rebuilt per frame, rho^6 over the
+    whole frame, then masked for the mass and the moments."""
+
+    def process(self, frame, reference, t):
+        grid = frame.grid
+        current = frame.data / reference.data - 1.0
+        k_sq = grid.k_sq_half
+        inv = np.zeros_like(k_sq)
+        nonzero = k_sq > 0
+        inv[nonzero] = 1.0 / k_sq[nonzero]
+        rho = sfft.irfft2(sfft.rfft2(current) * inv, s=(grid.nz, grid.nx))
+        rho -= rho[self.mask.background].mean()
+        rho6 = ImageGrid(grid, rho**6)
+        mass = np.where(self.mask.atoms, rho6.data, 0.0).sum()
+        if self._mass_ref is None:
+            self._mass_ref = mass
+        if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:
+            if self.last is None:
+                raise ValueError(f"degenerate first frame at t={t:.4f}")
+            held = replace(self.last, t=t, degenerate=True)
+            self.last = held
+            return held
+        x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
+        self.last_raw = MeasurementVector(x_hat=x, z_hat=z, w_hat=w_x, t=t, w_z_hat=w_z)
+        mv = MeasurementVector(x_hat=self.lp_x.update(x), z_hat=z,
+                               w_hat=self.lp_w.update(w_x), t=t, w_z_hat=w_z)
+        self.last = mv
+        return mv
+
+
+def _region(kind):
+    """The default square, a disk, and an L whose bounding box holds non-atom pixels."""
+    centered = RegionMask.centered(GRID)
+    if kind == "centered":
+        return centered
+    iz, ix = np.indices((GRID.nz, GRID.nx))
+    if kind == "disk":
+        atoms = (iz - 64) ** 2 + (ix - 61) ** 2 <= 10**2
+    else:
+        atoms = np.zeros((GRID.nz, GRID.nx), dtype=bool)
+        atoms[50:78, 52:60] = True
+        atoms[70:78, 52:76] = True
+    return RegionMask(atoms=atoms, background=centered.background)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    region=st.sampled_from(["centered", "disk", "L"]),
+    photons=st.sampled_from([0.0, 2e7, 1e5, 1e3]),
+    blanks=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_process_matches_full_frame_filter(seed, region, photons, blanks):
+    rng = np.random.default_rng(seed)
+    mask = _region(region)
+    fast, ref = InSituEstimator(GRID, mask=mask), _FullFrameEstimator(GRID, mask=mask)
+    renderer = FrameRenderer(GRID, OpticsParams())
+    reference = make_reference(GRID)
+    for i, blank in enumerate(blanks):
+        if blank:
+            data = reference.data.copy()
+        else:
+            params = PhaseParams(phi0=-rng.uniform(0.01, 0.3), r_x=rng.uniform(8e-6, 3e-5),
+                                 x0=rng.uniform(-2e-5, 2e-5), z0=rng.uniform(-1e-5, 1e-5))
+            data = renderer.render(params).data * reference.data
+        if photons:
+            data = data + np.sqrt(data / photons) * rng.standard_normal(data.shape)
+        frame = ImageGrid(GRID, data)
+        t = i * 1e-3
+        try:
+            want = ref.process(frame, reference, t)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                fast.process(frame, reference, t)
+            return
+        got = fast.process(frame, reference, t)
+        assert got == want
+        assert got.degenerate == want.degenerate
+        assert fast.last_raw == ref.last_raw
+        assert fast._mass_ref == ref._mass_ref  # later degenerate decisions

@@ -371,3 +371,37 @@ def test_cli_analyze_rejects_incomplete_header(tmp_path, capsys):
     code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
     assert code == 2
     assert "run header lacks config_hash, feedback, scenario" in capsys.readouterr().err
+
+
+_BAD_VALUES = [
+    ("optics.nx", "12.5"),
+    ("scenario.feedback", "yes"),
+    ("scenario.hold_random_s", "0.1"),
+]
+
+
+@pytest.mark.parametrize("key, text", _BAD_VALUES)
+def test_config_bad_value_names_key(tmp_path, key, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {text}\n")
+    with pytest.raises(ValueError, match=f"^config key {re.escape(key)}: "):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text", ["0.1", "0:0.1:0.2", "0;0.1", ":"])
+def test_config_hold_random_needs_lo_hi(text):
+    with pytest.raises(ValueError, match="scenario.hold_random_s"):
+        harness.config_from_flat({"scenario.hold_random_s": text})
+
+
+@pytest.mark.parametrize("key, text", _BAD_VALUES)
+def test_cli_bad_config_value_names_key(tmp_path, capsys, key, text):
+    cfgp = _write_quick_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + f"{key} = {text}\n")
+    code = cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR ")
+    payload = json.loads(err.split(" ", 1)[1])
+    assert payload["kind"] == "config"
+    assert key in payload["message"]

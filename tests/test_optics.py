@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from beccool import (
     FrameRenderer,
@@ -19,6 +20,7 @@ from beccool import (
     write_ascii_grid,
     write_pgm16,
 )
+from beccool.optics import _j2_over_x2
 from conftest import band_limited_phase
 
 
@@ -219,3 +221,32 @@ def test_pgm16_header_and_size(tmp_path, grid):
     assert raw.startswith(b"P5\n128 128\n65535\n")
     header_len = len(b"P5\n128 128\n65535\n")
     assert len(raw) == header_len + 2 * grid.nx * grid.nz
+
+
+# --- the mirrored TF spectrum equals the formula on every kz row -------------
+
+
+def _tf_spectrum_unmirrored(params, kx, kz):
+    kap = np.sqrt((kx[None, :] * params.r_x) ** 2 + (kz[:, None] * params.r_z) ** 2)
+    amp = params.phi0 * params.r_x * params.r_z * 6.0 * np.pi * _j2_over_x2(kap)
+    shift = np.exp(-1j * kx[None, :] * params.x0) * np.exp(-1j * kz[:, None] * params.z0)
+    return amp * shift
+
+
+_log_radius = st.floats(-9.0, -4.0).map(lambda e: 10.0**e)
+_centre = st.floats(-5e-5, 5e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nz=st.sampled_from([2, 4, 8, 128]), nx=st.sampled_from([2, 8, 32, 64, 128, 256]),
+       pitch=st.floats(1e-6, 1e-5), phi0=st.floats(-1.0, 1.0),
+       r_x=_log_radius, r_z=_log_radius, x0=_centre, z0=_centre)
+@example(nz=128, nx=64, pitch=5.5e-6, phi0=-0.08, r_x=1.7e-5, r_z=5e-6, x0=1e-6, z0=-2e-6)
+@example(nz=2, nx=8, pitch=5.5e-6, phi0=0.3, r_x=1e-9, r_z=1e-9, x0=0.0, z0=0.0)
+def test_tf_spectrum_mirror_is_exact(nz, nx, pitch, phi0, r_x, r_z, x0, z0):
+    grid = GridSpec(nx=nx, nz=nz, pitch=pitch)
+    params = PhaseParams(phi0=phi0, r_x=r_x, r_z=r_z, x0=x0, z0=z0)
+    half = FrameRenderer(grid, OpticsParams()).phase_spectrum(params)
+    assert np.array_equal(half, _tf_spectrum_unmirrored(params, grid.kx_half, grid.kz))
+    full = tf_phase_spectrum(params, grid)
+    assert np.array_equal(full, _tf_spectrum_unmirrored(params, grid.kx, grid.kz))
