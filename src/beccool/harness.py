@@ -400,7 +400,10 @@ def measure_pipeline_noise(config=None, n_frames=60, seed=0):
     """Monte-Carlo std of the raw in-situ estimates for a static object.
 
     Used to calibrate the photon budget against a target measurement noise.
+    A standard deviation needs at least two frames.
     """
+    if n_frames < 2:
+        raise ValueError(f"pipeline noise needs at least 2 frames, got {n_frames}")
     config = config or ExperimentConfig()
     rng = np.random.default_rng(seed)
     renderer = FrameRenderer(config.grid, config.optics)

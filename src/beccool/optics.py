@@ -7,8 +7,9 @@ coordinate origin sits at pixel (nz//2, nx//2).  All spectral operators assume
 a periodic grid, so objects should stay well inside the frame.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -150,11 +151,28 @@ def tf_phase(params, grid):
     u is the squared elliptic radius; the profile is identically zero outside
     and continuous at the boundary.
     """
-    u = ((grid.xx - params.x0) / params.r_x) ** 2 + ((grid.zz - params.z0) / params.r_z) ** 2
+    # u is evaluated only on the ellipse's bounding box; each pixel's value is
+    # the same expression on the same coordinates as on the full frame.
+    rows = _span(grid.z, params.z0, params.r_z)
+    cols = _span(grid.x, params.x0, params.r_x)
+    ux = ((grid.x[cols] - params.x0) / params.r_x) ** 2
+    uz = ((grid.z[rows] - params.z0) / params.r_z) ** 2
+    u = ux[None, :] + uz[:, None]
     out = np.zeros((grid.nz, grid.nx))
     inside = u <= 1.0
-    out[inside] = params.phi0 * (1.0 - u[inside]) ** 1.5
+    out[rows, cols][inside] = params.phi0 * (1.0 - u[inside]) ** 1.5
     return ImageGrid(grid, out)
+
+
+def _span(axis, centre, radius):
+    """Slice of the pixels of ``axis`` within ``radius`` of ``centre``.
+
+    Widened by one pixel on each side, so a pixel whose rounded elliptic
+    radius still reaches 1 is never cut off.
+    """
+    lo = max(int(np.searchsorted(axis, centre - radius)) - 1, 0)
+    hi = int(np.searchsorted(axis, centre + radius, side="right")) + 1
+    return slice(lo, hi)
 
 
 def _j2_over_x2(x):
@@ -204,9 +222,40 @@ def fresnel_image(phase, opt):
     grid = phase.grid
     if not (_is_pow2(grid.nx) and _is_pow2(grid.nz)):
         raise ValueError("spectral propagation needs power-of-two grids")
-    kernel = np.exp(-opt.eta**2 * grid.k_sq) * np.exp(1j * opt.xi / (2 * opt.k) * grid.k_sq)
-    field = sfft.ifft2(kernel * sfft.fft2(np.exp(-1j * phase.data)))
+    # exp(-i phi) is exponentiated only where phi != 0; elsewhere it is the
+    # constant exp(-i 0) of the same dtype.  A -0.0 pixel so gets +0.0's value,
+    # which differs only in the sign of a zero imaginary part: the FFTs carry
+    # that as a zero's sign alone and |field|^2 drops it.
+    data = phase.data
+    lit = data != 0
+    field = np.full(data.shape, np.exp(-1j * data.dtype.type(0)))
+    field[lit] = np.exp(-1j * data[lit])
+    # a named kernel lets numpy multiply into the FFT's temporary (F * kernel);
+    # complex products are not bit-symmetric, so keep this form
+    kernel = _fresnel_kernel(grid.nx, grid.nz, grid.pitch, opt.eta, opt.xi, opt.k)
+    field = sfft.ifft2(kernel * sfft.fft2(field))
     return ImageGrid(grid, np.abs(field) ** 2)
+
+
+_KERNEL_CACHE_SIZE = 2  # a run uses one kernel; a defocus fit, two per step
+
+
+def _fresnel_kernel(*values):
+    """Read-only pupil-times-defocus kernel for (nx, nz, pitch, eta, xi, k).
+
+    The cache key holds each value's type and zero sign too, so 0, 0.0 and
+    -0.0 (equal as keys, not always in bits) never share a kernel.
+    """
+    return _kernel_for(values, tuple((type(v), math.copysign(1.0, v)) for v in values))
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _kernel_for(values, _key):
+    nx, nz, pitch, eta, xi, k = values
+    k_sq = GridSpec(nx, nz, pitch).k_sq
+    kernel = np.exp(-eta**2 * k_sq) * np.exp(1j * xi / (2 * k) * k_sq)
+    kernel.flags.writeable = False
+    return kernel
 
 
 def linearized_image(phase, opt):

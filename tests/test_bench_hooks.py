@@ -8,9 +8,19 @@ names leaves the benchmark without figures, so these tests fail first.
 
 import importlib.util
 import os
+from dataclasses import replace
 
-from beccool import FrameRenderer, estimator, harness, make_reference
-from beccool.harness import Scenario
+from beccool import (
+    FrameRenderer,
+    GridSpec,
+    OpticsParams,
+    PhaseParams,
+    analysis,
+    estimator,
+    harness,
+    make_reference,
+)
+from beccool.harness import LoopConfig, Scenario
 
 
 def _load_tracing():
@@ -71,3 +81,62 @@ def test_process_reaches_stages_through_module_names(monkeypatch):
     for i in range(3):
         est.process(frame, reference, i * 1e-3)
     assert calls == ["density_estimate", "nonlinear_filter", "extract_moments"] * 3
+
+
+def _traced_calls(tracer):
+    """Span name -> calls, and (child, parent) span-name pairs."""
+    names = [span[0] for span in tracer.spans]
+    nesting = {(name, names[parent] if parent >= 0 else None)
+               for name, _, _, parent in tracer.spans}
+    return {name: calls for name, (calls, _, _) in tracer.totals().items()}, nesting
+
+
+def test_render_fresnel_reaches_optics_names_once_per_frame():
+    tracing = _load_tracing()
+    cfg = harness.ExperimentConfig(loop=LoopConfig(render_model="fresnel"))
+    frames = []
+    with tracing.Tracer().installed() as tracer:
+        harness.run_experiment(Scenario(kind="quiet", feedback=False, duration=0.006),
+                               cfg, collect_frames=lambda i, frame: frames.append(i))
+    calls, nesting = _traced_calls(tracer)
+    assert len(frames) == 6
+    for name in ("optics.render_fresnel", "optics.tf_phase", "optics.fresnel_image"):
+        assert calls[name] == len(frames), name
+    assert ("optics.tf_phase", "optics.render_fresnel") in nesting
+    assert ("optics.fresnel_image", "optics.render_fresnel") in nesting
+
+
+def test_fit_model_reaches_analysis_names_once_per_evaluation(monkeypatch):
+    tracing = _load_tracing()
+    evaluations = []
+    solve = analysis.least_squares
+
+    def spy(fun, x0, **kwargs):
+        def counted(p):
+            evaluations.append(1)
+            return fun(p)
+        return solve(counted, x0, **kwargs)
+
+    monkeypatch.setattr(analysis, "least_squares", spy)
+    reached = []
+    for name in ("tf_phase", "fresnel_image"):
+        assert (analysis, name, f"optics.{name}") in tracing.PATCHES
+
+        def counted(*args, _name=name, _fn=getattr(analysis, name), **kwargs):
+            reached.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    grid, opt = GridSpec(nx=32, nz=32), OpticsParams()
+    truth = PhaseParams(phi0=-0.5, r_x=30e-6, r_z=20e-6, x0=2e-6, z0=-1e-6)
+    image = FrameRenderer(grid, opt).render_fresnel(truth)
+    with tracing.Tracer().installed() as tracer:
+        analysis.fit_shadowgraph(image, replace(truth, phi0=-0.4, x0=0.0), opt, fit_xi=True,
+                                 max_nfev=3)
+    calls, nesting = _traced_calls(tracer)
+    assert calls["analysis.fit"] == 1
+    assert len(evaluations) > 3  # the Jacobian columns are evaluations too
+    assert calls["optics.tf_phase"] == calls["optics.fresnel_image"] == len(evaluations)
+    assert reached == ["tf_phase", "fresnel_image"] * len(evaluations)
+    assert ("optics.tf_phase", "analysis.fit") in nesting
+    assert ("optics.fresnel_image", "analysis.fit") in nesting

@@ -1,10 +1,12 @@
 import json
 import os
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import beccool.cli as cli
 from beccool import (
@@ -405,3 +407,91 @@ def test_cli_bad_config_value_names_key(tmp_path, capsys, key, text):
     payload = json.loads(err.split(" ", 1)[1])
     assert payload["kind"] == "config"
     assert key in payload["message"]
+
+
+@pytest.mark.parametrize("n_frames", [-1, 0, 1])
+def test_measure_pipeline_noise_needs_two_frames(n_frames):
+    with pytest.raises(ValueError, match="at least 2 frames"):
+        measure_pipeline_noise(n_frames=n_frames)
+
+
+@pytest.mark.parametrize("frames", ["0", "1"])
+def test_cli_calibrate_noise_needs_two_frames(capsys, frames):
+    code = cli.main(["calibrate", "--what", "noise", "--frames", frames])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "sigma_x" not in captured.out
+    payload = json.loads(captured.err.split("ERROR ", 1)[1])
+    assert payload["kind"] == "config" and "at least 2 frames" in payload["message"]
+
+
+# --- save_config -> load_config round-trips every key -----------------------
+
+_CHOICES = {
+    "optics.render_model": ["linear", "fresnel"],
+    "gains.mode": ["nominal", "calibrated"],
+    "scenario.kind": ["dipole_kick", "quadrupole_drive", "quiet"],
+    "optics.nx": [2, 64, 128, 1024],
+    "optics.nz": [2, 32, 128],
+}
+# fields the dataclasses require to be non-negative, some strictly: drawn positive
+_NON_NEGATIVE = {"trap.f_x_hz", "trap.f_y_hz", "trap.f_z_hz", "trap.w_eq0_m",
+                 "trap.width_damping_hz", "optics.pitch_m", "optics.eta_m",
+                 "optics.wavelength_m", "optics.r_x_m", "optics.r_z_m",
+                 "scenario.enable_time_s", "scenario.kick_time_s", "scenario.duration_s",
+                 "scenario.hold_s"}
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _key_values():
+    """One strategy per _KEYS entry, for values the dataclasses accept."""
+    out = {}
+    for key, (section, name, *codec) in harness._KEYS.items():
+        default = getattr(harness._section(ExperimentConfig(), Scenario(), section), name)
+        if key in _CHOICES:
+            out[key] = st.sampled_from(_CHOICES[key])
+        elif codec and codec[0] is harness._BOOL:
+            out[key] = st.booleans()
+        elif codec and codec[0] is harness._NONE_AS_ZERO:  # 0.0 is stored as None
+            out[key] = st.none() | _FINITE.filter(bool)
+        elif codec:
+            out[key] = st.none() | st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(
+                lambda v: tuple(sorted(v)))
+        elif isinstance(default, int):
+            out[key] = st.integers(0, 2**63)
+        else:
+            out[key] = _POSITIVE if key in _NON_NEGATIVE else _FINITE
+    return st.fixed_dictionaries(out)
+
+
+def _build(values):
+    config, scenario = ExperimentConfig(), Scenario()
+    updates = {}
+    for key, value in values.items():
+        section, name, *_ = harness._KEYS[key]
+        updates.setdefault(section, {})[name] = value
+    scenario = replace(scenario, **updates.pop("scenario"))
+    config = replace(config, **updates.pop(""),
+                     **{s: replace(getattr(config, s), **kw) for s, kw in updates.items()})
+    return config, scenario
+
+
+def _plain(config):
+    out = asdict(config)
+    k = out["controller"].pop("k")
+    return out, k.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=_key_values(), with_scenario=st.booleans())
+def test_config_file_roundtrip_property(values, with_scenario):
+    config, scenario = _build(values)
+    scenario = scenario if with_scenario else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "exp.cfg")
+        save_config(path, config, scenario)
+        config2, scenario2 = load_config(path)
+    assert _plain(config2) == _plain(config)
+    assert scenario2 == scenario
+    assert config_hash(config2, scenario2) == config_hash(config, scenario)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import fft as sfft
 
 from beccool import (
     FrameRenderer,
@@ -20,7 +21,7 @@ from beccool import (
     write_ascii_grid,
     write_pgm16,
 )
-from beccool.optics import _j2_over_x2
+from beccool.optics import _fresnel_kernel, _j2_over_x2, _kernel_for
 from conftest import band_limited_phase
 
 
@@ -250,3 +251,107 @@ def test_tf_spectrum_mirror_is_exact(nz, nx, pitch, phi0, r_x, r_z, x0, z0):
     assert np.array_equal(half, _tf_spectrum_unmirrored(params, grid.kx_half, grid.kz))
     full = tf_phase_spectrum(params, grid)
     assert np.array_equal(full, _tf_spectrum_unmirrored(params, grid.kx, grid.kz))
+
+
+# --- the box-evaluated TF phase and the cached Fresnel chain equal the -------
+# --- full-frame formulas byte for byte (signed zeros included) -------------
+
+
+def _tf_phase_full_frame(params, grid):
+    u = ((grid.xx - params.x0) / params.r_x) ** 2 + ((grid.zz - params.z0) / params.r_z) ** 2
+    out = np.zeros((grid.nz, grid.nx))
+    inside = u <= 1.0
+    out[inside] = params.phi0 * (1.0 - u[inside]) ** 1.5
+    return out
+
+
+def _kernel_uncached(grid, opt):
+    return np.exp(-opt.eta**2 * grid.k_sq) * np.exp(1j * opt.xi / (2 * opt.k) * grid.k_sq)
+
+
+def _fresnel_image_uncached(phase, opt):
+    # The kernel must be a named array, as it was: numpy then multiplies into
+    # the FFT's temporary, computing F * kernel, and complex products are not
+    # bit-symmetric (kernel * F differs in the last bit on ~1/3 of pixels).
+    kernel = _kernel_uncached(phase.grid, opt)
+    field = sfft.ifft2(kernel * sfft.fft2(np.exp(-1j * phase.data)))
+    return np.abs(field) ** 2
+
+
+@st.composite
+def _clouds(draw):
+    """A grid and a TF cloud: inside, across the edge of or outside the frame;
+    centred anywhere, on a pixel centre or boundary, or one radius from a
+    pixel (the edge pixel then sits at u = 1 up to rounding); radii from a
+    tenth of a pixel to half the frame."""
+    grid = GridSpec(nx=draw(st.sampled_from([8, 32, 128])), nz=draw(st.sampled_from([4, 16, 128])),
+                    pitch=draw(st.sampled_from([5.5e-6, 3.3e-6, 1e-5])))
+
+    def radius_and_centre(axis):
+        span = axis.size * grid.pitch / 2
+        r = draw(st.one_of(st.floats(grid.pitch / 10, span),
+                           st.integers(1, 8).map(lambda n: n * grid.pitch)))
+        pixel = draw(st.sampled_from(axis))
+        c = draw(st.one_of(st.floats(-2.5 * span, 2.5 * span),
+                           st.sampled_from([pixel, pixel + grid.pitch / 2, pixel + r, pixel - r])))
+        return r, c
+
+    r_x, x0 = radius_and_centre(grid.x)
+    r_z, z0 = radius_and_centre(grid.z)
+    return grid, PhaseParams(phi0=draw(st.floats(-3.0, 3.0)), r_x=r_x, r_z=r_z, x0=x0, z0=z0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cloud=_clouds())
+@example(cloud=(GridSpec(), PhaseParams(x0=1.0, z0=-1.0)))                  # far outside
+@example(cloud=(GridSpec(), PhaseParams(x0=352e-6, z0=0.0)))                # across the edge
+@example(cloud=(GridSpec(), PhaseParams(r_x=1e-6, r_z=1e-6, x0=2.75e-6)))   # between pixels
+@example(cloud=(GridSpec(), PhaseParams(r_x=352e-6, r_z=352e-6)))           # half the frame
+# x0 - r_x and x0 + r_x round past the pixel at u == 1, which holds -0.0
+@example(cloud=(GridSpec(), PhaseParams(r_x=9.344062766184904e-05, x0=8.244062766184904e-05)))
+@example(cloud=(GridSpec(), PhaseParams(r_x=9.261231470397395e-05, x0=-8.161231470397396e-05)))
+def test_tf_phase_matches_full_frame_formula(cloud):
+    grid, params = cloud
+    assert tf_phase(params, grid).data.tobytes() == _tf_phase_full_frame(params, grid).tobytes()
+
+
+_defocus = st.one_of(st.sampled_from([0.0, -0.0, 800e-6]), st.floats(-3e-3, 3e-3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(cloud=_clouds(), xi=_defocus, eta=st.one_of(st.just(0.0), st.floats(0.0, 12e-6)),
+       wavelength=st.floats(400e-9, 1100e-9), dense=st.booleans())
+def test_fresnel_image_matches_uncached_formula(cloud, xi, eta, wavelength, dense):
+    grid, params = cloud
+    opt = OpticsParams(xi=xi, eta=eta, wavelength=wavelength)
+    phase = tf_phase(params, grid)
+    if dense:  # every pixel lit
+        phase = ImageGrid(grid, phase.data + band_limited_phase(grid, params, 2e5).data + 1e-3)
+    got = fresnel_image(phase, opt).data
+    assert got.tobytes() == _fresnel_image_uncached(phase, opt).tobytes()
+
+
+def test_fresnel_kernel_cache_is_never_stale():
+    grids = [GridSpec(nx=32, nz=16, pitch=5.5e-6), GridSpec(nx=32, nz=16, pitch=4e-6)]
+    opts = [OpticsParams(), OpticsParams(xi=-300e-6, eta=2e-6, wavelength=589e-9),
+            OpticsParams(xi=0.0, eta=0.0), OpticsParams(xi=-0.0, eta=-0.0)]
+    phases = [tf_phase(PhaseParams(phi0=-0.6, r_x=30e-6, r_z=20e-6, x0=3e-6), g) for g in grids]
+    _kernel_for.cache_clear()
+    for _ in range(3):
+        for opt in opts:
+            for phase in phases:
+                expect = _fresnel_image_uncached(phase, opt).tobytes()
+                before = _kernel_for.cache_info()
+                miss = fresnel_image(phase, opt).data.tobytes()
+                hit = fresnel_image(phase, opt).data.tobytes()
+                after = _kernel_for.cache_info()
+                assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+                assert miss == hit == expect
+                g = phase.grid
+                cached = _fresnel_kernel(g.nx, g.nz, g.pitch, opt.eta, opt.xi, opt.k)
+                # -0.0 keeps its own kernel
+                assert cached.tobytes() == _kernel_uncached(g, opt).tobytes()
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 0.0
+    assert _kernel_for.cache_info().currsize <= 2
