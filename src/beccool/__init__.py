@@ -66,7 +66,6 @@ from .optics import (
     make_reference,
     phase_from_spectrum,
     read_ascii_grid,
-    render_frame,
     tf_phase,
     tf_phase_spectrum,
     write_ascii_grid,

@@ -21,6 +21,7 @@ from . import analysis
 from .controller import ControllerConfig, DerivativeController, calibrate_gains, nominal_gain_matrix
 from .estimator import EstimatorConfig, InSituEstimator
 from .optics import (
+    DEFAULT_FRINGES,
     FrameRenderer,
     GridSpec,
     OpticsParams,
@@ -34,6 +35,7 @@ from .plant import (
     DelayLine,
     SignalVector,
     TrapConfig,
+    actuator_to_signal,
     dipole_kick,
     equilibrium_state,
     nominal_transfer_matrix,
@@ -45,6 +47,7 @@ from .plant import (
 
 SAMPLE_PERIOD = 1e-3
 LOOP_DELAY = 960e-6
+NOISE_PROBE_FRAMES = 40  # frames behind each measure_pipeline_noise std
 
 
 @dataclass
@@ -89,7 +92,7 @@ class ExperimentConfig:
         if self.gain_mode not in ("nominal", "calibrated"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
 
-    def resolved_controller(self, g, enable_time=None):
+    def resolved_controller(self, g, enable_time):
         """Controller config with the gain matrix implied by gain_mode.
 
         'calibrated' solves for K against the run's actual transfer matrix at
@@ -101,10 +104,8 @@ class ExperimentConfig:
         else:
             l_nom = nominal_transfer_matrix() @ nominal_gain_matrix()
             k = calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
-        out = replace(self.controller, k=k, sample_period=self.loop.sample_period)
-        if enable_time is not None:
-            out = replace(out, enable_time=enable_time)
-        return out
+        return replace(self.controller, k=k, sample_period=self.loop.sample_period,
+                       enable_time=enable_time)
 
 
 @dataclass
@@ -151,7 +152,6 @@ class RunRecord:
     scenario: Scenario
     config_hash: str
     seed: int
-    n_failures: int = 0
 
     def __len__(self):
         return len(self.data["t"])
@@ -207,9 +207,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
         config.resolved_controller(g, enable_time=scenario.enable_time))
     estimator = InSituEstimator(config.grid, replace(config.estimator,
                                                      sample_period=tau))
-    renderer = FrameRenderer(config.grid, config.optics)
-    reference = make_reference(config.grid) if config.noise.reference_fringes \
-        else make_reference(config.grid, fringes=())
+    shoot, reference = _camera(config, rng_shot)
     delay = DelayLine(config.loop.delay)
 
     state = equilibrium_state(trap)
@@ -226,8 +224,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
     n_samples = int(round((scenario.duration + hold) / tau))
     kick_sample = int(round(scenario.kick_time / tau))
 
-    held_u = np.zeros(4)
-    n_failures = 0
+    held = ActuatorVector()
     cols = {name: np.empty(n_samples) for name in RECORD_COLUMNS}
     for i in range(n_samples):
         t = i * tau
@@ -236,14 +233,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
                                 scenario.kick_domega_frac * trap.omega_x**2)
             state = dipole_kick(state, kick)
 
-        params = replace(config.phase, r_x=state.w, x0=state.x, z0=state.z)
-        if config.loop.render_model == "linear":
-            frame = renderer.render(params)
-        else:
-            frame = renderer.render_fresnel(params)
-        frame.data *= reference.data
-        if config.noise.photons_per_pixel:
-            frame = add_shot_noise(frame, config.noise.photons_per_pixel, rng_shot)
+        frame = shoot(replace(config.phase, r_x=state.w, x0=state.x, z0=state.z))
         if collect_frames is not None:
             collect_frames(i, frame)
 
@@ -251,8 +241,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
             m = estimator.process(frame, reference, t)
         except ValueError as exc:
             raise RuntimeError(f"estimator failed at sample {i} (t={t * 1e3:.1f} ms): {exc}")
-        if m.degenerate:
-            n_failures += 1
+        raw = estimator.last_raw  # set by every call that returns
 
         if scenario.feedback:
             u = controller.step(config.loop.meas_sign * m.as_array(), t)
@@ -260,17 +249,13 @@ def run_experiment(scenario, config=None, collect_frames=None):
             u = ActuatorVector()
         delay.push(t, u)
         for due in delay.pop_due(t):
-            held_u = due.as_array()
+            held = due
 
-        s_total = state.trap + actuator_to_signal_array(held_u, g)
+        s_total = state.trap + actuator_to_signal(held, g)
         row = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
                trap.x_trap0 + s_total.dx_trap, trap.z_trap0 + s_total.dz_trap,
                s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
-               m.x_hat, m.z_hat, m.w_hat,
-               estimator.last_raw.x_hat if estimator.last_raw else m.x_hat,
-               estimator.last_raw.z_hat if estimator.last_raw else m.z_hat,
-               estimator.last_raw.w_hat if estimator.last_raw else m.w_hat,
-               estimator.last_raw.w_z_hat if estimator.last_raw else m.w_z_hat,
+               m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
                u.v_x, u.v_z, u.v_64, u.v_90, float(m.degenerate))
         for name, val in zip(RECORD_COLUMNS, row):
             cols[name][i] = val
@@ -286,12 +271,31 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
     return RunRecord(data=cols, scenario=scenario,
                      config_hash=config_hash(config, scenario),
-                     seed=scenario.seed, n_failures=n_failures)
+                     seed=scenario.seed)
 
 
-def actuator_to_signal_array(u_array, g):
-    """Array-in variant of the transfer map used by the inner loop."""
-    return SignalVector.from_array(np.asarray(g, dtype=float) @ u_array)
+def _camera(config, rng):
+    """(shoot, reference): shoot(params) is the camera frame of a cloud.
+
+    It renders with ``config.loop.render_model``, applies the reference
+    frame's fringes and, unless the photon budget is 0, adds shot noise drawn
+    from ``rng``.
+    """
+    renderer = FrameRenderer(config.grid, config.optics)
+    render = renderer.render if config.loop.render_model == "linear" \
+        else renderer.render_fresnel
+    reference = make_reference(
+        config.grid, DEFAULT_FRINGES if config.noise.reference_fringes else ())
+    photons = config.noise.photons_per_pixel
+
+    def shoot(params):
+        frame = render(params)
+        frame.data *= reference.data
+        if photons:
+            frame = add_shot_noise(frame, photons, rng)
+        return frame
+
+    return shoot, reference
 
 
 def summarize_run(record, config=None):
@@ -396,28 +400,23 @@ def write_summary_csv(summaries, path):
                              for k in keys) + "\n")
 
 
-def measure_pipeline_noise(config=None, n_frames=60, seed=0):
+def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
     """Monte-Carlo std of the raw in-situ estimates for a static object.
 
-    Used to calibrate the photon budget against a target measurement noise.
-    A standard deviation needs at least two frames.
+    The frames come from the loop's camera, so a photon budget of 0 gives zero
+    noise.  Used to calibrate the photon budget against a target measurement
+    noise.  A standard deviation needs at least two frames.
     """
     if n_frames < 2:
         raise ValueError(f"pipeline noise needs at least 2 frames, got {n_frames}")
     config = config or ExperimentConfig()
-    rng = np.random.default_rng(seed)
-    renderer = FrameRenderer(config.grid, config.optics)
-    reference = make_reference(config.grid) if config.noise.reference_fringes \
-        else make_reference(config.grid, fringes=())
+    shoot, reference = _camera(config, np.random.default_rng(seed))
     estimator = InSituEstimator(config.grid, config.estimator)
     params = replace(config.phase, x0=0.0, z0=0.0)
-    clean = renderer.render(params)
-    clean.data *= reference.data
     xs, zs, ws = [], [], []
-    for i in range(n_frames):
-        frame = add_shot_noise(clean, config.noise.photons_per_pixel, rng)
+    for _ in range(n_frames):
         estimator.reset()  # independent frames: no filter memory
-        estimator.process(frame, reference, 0.0)
+        estimator.process(shoot(params), reference, 0.0)
         raw = estimator.last_raw
         xs.append(raw.x_hat)
         zs.append(raw.z_hat)

@@ -21,7 +21,7 @@ def _is_pow2(n):
     return n >= 2 and (n & (n - 1)) == 0
 
 
-@dataclass
+@dataclass(frozen=True)  # frozen, so the cached arrays below never go stale
 class GridSpec:
     """Uniform pixel grid: nx, nz pixels at ``pitch`` meters per pixel."""
 
@@ -306,16 +306,6 @@ class FrameRenderer:
     def render_fresnel(self, params):
         """Full-model render (pointwise phase + Fresnel kernel), for fidelity runs."""
         return fresnel_image(tf_phase(params, self.grid), self.opt)
-
-
-def render_frame(params, opt, grid, model="linear"):
-    """One-shot frame synthesis; ``model`` is 'linear' or 'fresnel'."""
-    r = FrameRenderer(grid, opt)
-    if model == "linear":
-        return r.render(params)
-    if model == "fresnel":
-        return r.render_fresnel(params)
-    raise ValueError(f"unknown render model {model!r}")
 
 
 DEFAULT_FRINGES = (

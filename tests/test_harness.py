@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -11,11 +12,15 @@ from hypothesis import given, settings, strategies as st
 import beccool.cli as cli
 from beccool import (
     ExperimentConfig,
+    FrameRenderer,
+    InSituEstimator,
     LoopConfig,
     NoiseConfig,
     Scenario,
+    add_shot_noise,
     config_hash,
     load_config,
+    make_reference,
     measure_pipeline_noise,
     monte_carlo,
     run_experiment,
@@ -423,6 +428,56 @@ def test_cli_calibrate_noise_needs_two_frames(capsys, frames):
     assert "sigma_x" not in captured.out
     payload = json.loads(captured.err.split("ERROR ", 1)[1])
     assert payload["kind"] == "config" and "at least 2 frames" in payload["message"]
+
+
+def test_measure_pipeline_noise_noiseless_is_zero():
+    probe = measure_pipeline_noise(
+        ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0)), n_frames=5)
+    assert probe["sigma_x"] == probe["sigma_z"] == probe["sigma_w"] == 0.0
+    assert probe["photons_per_pixel"] == 0.0
+    assert probe["mean_w"] == pytest.approx(4.3e-6, rel=0.1)
+
+
+def test_cli_calibrate_noise_noiseless(tmp_path, capsys):
+    path = tmp_path / "noiseless.cfg"
+    path.write_text("noise.photons_per_pixel = 0\n")
+    code = cli.main(["calibrate", "--what", "noise", "--config", str(path), "--frames", "3"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    for key in ("sigma_x", "sigma_z", "sigma_w"):
+        assert f"{key} = 0.0000 um" in captured.out
+
+
+def test_measure_pipeline_noise_uses_fresnel_camera():
+    config = ExperimentConfig(loop=LoopConfig(render_model="fresnel"))
+    n_frames, seed = 6, 4
+    rng = np.random.default_rng(seed)
+    reference = make_reference(config.grid)
+    renderer = FrameRenderer(config.grid, config.optics)
+    estimator = InSituEstimator(config.grid, config.estimator)
+    params = replace(config.phase, x0=0.0, z0=0.0)
+    xs, zs, ws = [], [], []
+    for _ in range(n_frames):
+        frame = renderer.render_fresnel(params)
+        frame.data *= reference.data
+        frame = add_shot_noise(frame, config.noise.photons_per_pixel, rng)
+        estimator.reset()
+        estimator.process(frame, reference, 0.0)
+        xs.append(estimator.last_raw.x_hat)
+        zs.append(estimator.last_raw.z_hat)
+        ws.append(estimator.last_raw.w_hat)
+    expected = {"sigma_x": float(np.std(xs)), "sigma_z": float(np.std(zs)),
+                "sigma_w": float(np.std(ws)), "mean_w": float(np.mean(ws)),
+                "photons_per_pixel": config.noise.photons_per_pixel}
+    probe = measure_pipeline_noise(config, n_frames=n_frames, seed=seed)
+    assert probe == expected
+    linear = measure_pipeline_noise(ExperimentConfig(), n_frames=n_frames, seed=seed)
+    assert probe["mean_w"] != linear["mean_w"]
+
+
+def test_noise_probe_frame_default_shared_by_api_and_cli():
+    api = inspect.signature(measure_pipeline_noise).parameters["n_frames"].default
+    assert cli.build_parser().parse_args(["calibrate"]).frames == api
 
 
 # --- save_config -> load_config round-trips every key -----------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +34,14 @@ def test_grid_validation():
         GridSpec(pitch=0.0)
     g = GridSpec(nx=64, nz=32, pitch=4e-6)
     assert g.x[g.nx // 2] == 0.0 and g.z[g.nz // 2] == 0.0
+
+
+def test_grid_spec_is_frozen():
+    g = GridSpec()
+    assert g.x[65] == pytest.approx(5.5e-6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.pitch = 4e-6
+    assert g.pitch == 5.5e-6 and g.x[65] == pytest.approx(5.5e-6)
 
 
 def test_image_grid_validation(grid):
