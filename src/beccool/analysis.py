@@ -131,8 +131,7 @@ def _fit_scales(init, opt):
     ])
 
 
-def fit_shadowgraph(image, init, opt, fit_xi=False, bounds=None, max_nfev=400,
-                    xtol=1e-12, ftol=1e-12):
+def fit_shadowgraph(image, init, opt, fit_xi=False, max_nfev=400, xtol=1e-12, ftol=1e-12):
     """Nonlinear least squares of the full propagation model against a frame.
 
     Optimizes (phi0, r_x, r_z, x0, z0) and optionally the defocus xi, using a
@@ -147,18 +146,16 @@ def fit_shadowgraph(image, init, opt, fit_xi=False, bounds=None, max_nfev=400,
 
     p0 = np.array([init.phi0, init.r_x, init.r_z, init.x0, init.z0, opt.xi])
     n_par = 6 if fit_xi else 5
-    if bounds is None:
-        span_x, span_z = grid.nx * grid.pitch / 2, grid.nz * grid.pitch / 2
-        lo = [-10.0, grid.pitch / 4, grid.pitch / 4, -span_x, -span_z, 10e-6]
-        hi = [10.0, span_x, span_z, span_x, span_z, 10e-3]
-        bounds = (np.array(lo[:n_par]), np.array(hi[:n_par]))
+    span_x, span_z = grid.nx * grid.pitch / 2, grid.nz * grid.pitch / 2
+    lo = [-10.0, grid.pitch / 4, grid.pitch / 4, -span_x, -span_z, 10e-6]
+    hi = [10.0, span_x, span_z, span_x, span_z, 10e-3]
 
     data = image.data
     res = least_squares(
         lambda p: (model(p if fit_xi else np.append(p, opt.xi)) - data).ravel(),
         p0[:n_par],
         x_scale=_fit_scales(init, opt)[:n_par],
-        bounds=bounds,
+        bounds=(np.array(lo[:n_par]), np.array(hi[:n_par])),
         xtol=xtol, ftol=ftol, gtol=None,
         max_nfev=max_nfev,
     )
@@ -173,20 +170,20 @@ def fit_shadowgraph(image, init, opt, fit_xi=False, bounds=None, max_nfev=400,
     )
 
 
-def ensemble_stats(values_by_mode, bins=24, hist_range=None):
+def ensemble_stats(values_by_mode):
     """Means, standard errors, quantiles and histograms per mode.
 
     ``values_by_mode`` maps a mode name to an array of per-run scalars (for
-    example phonon occupancies).  Histogram binning is fixed by the arguments
-    so ensemble summaries are reproducible.
+    example phonon occupancies).  Each histogram has 24 bins spanning the
+    mode's values, so ensemble summaries are reproducible.
     """
     out = {}
     for mode, vals in values_by_mode.items():
         vals = np.asarray(vals, dtype=float)
         if vals.size == 0:
             raise ValueError(f"no values for mode {mode!r}")
-        rng_ = hist_range or (float(vals.min()), float(max(vals.max(), vals.min() + 1e-12)))
-        counts, edges = np.histogram(vals, bins=bins, range=rng_)
+        span = (float(vals.min()), float(max(vals.max(), vals.min() + 1e-12)))
+        counts, edges = np.histogram(vals, bins=24, range=span)
         out[mode] = {
             "n": int(vals.size),
             "mean": float(vals.mean()),

@@ -141,8 +141,6 @@ class LowPass:
     def __init__(self, cutoff_hz, sample_period):
         if cutoff_hz <= 0 or sample_period <= 0:
             raise ValueError("cutoff and sample period must be positive")
-        self.cutoff_hz = cutoff_hz
-        self.sample_period = sample_period
         self.alpha = 1.0 - np.exp(-2 * np.pi * cutoff_hz * sample_period)
         self.y = None
 

@@ -14,6 +14,7 @@ import json
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -160,13 +161,12 @@ class RunRecord:
         return self.data[name]
 
     def to_csv(self, path):
-        cols = [self.data[c] for c in RECORD_COLUMNS]
         with open(path, "w") as f:
             f.write(f"# beccool-run config_hash={self.config_hash} seed={self.seed} "
                     f"scenario={self.scenario.kind} feedback={int(self.scenario.feedback)}\n")
             f.write(",".join(RECORD_COLUMNS) + "\n")
-            for row in zip(*cols):
-                f.write(",".join(f"{v:.10e}" for v in row) + "\n")
+            np.savetxt(f, np.column_stack([self.data[c] for c in RECORD_COLUMNS]),
+                       fmt="%.10e", delimiter=",")
 
 
 def read_run_csv(path):
@@ -233,7 +233,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
                                 scenario.kick_domega_frac * trap.omega_x**2)
             state = dipole_kick(state, kick)
 
-        frame = shoot(replace(config.phase, r_x=state.w, x0=state.x, z0=state.z))
+        frame = shoot(state)
         if collect_frames is not None:
             collect_frames(i, frame)
 
@@ -275,11 +275,12 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
 
 def _camera(config, rng):
-    """(shoot, reference): shoot(params) is the camera frame of a cloud.
+    """(shoot, reference): shoot(state) is the camera frame of the plant's cloud.
 
-    It renders with ``config.loop.render_model``, applies the reference
-    frame's fringes and, unless the photon budget is 0, adds shot noise drawn
-    from ``rng``.
+    The cloud is ``config.phase`` with the plant state's width and centre.  It
+    renders with ``config.loop.render_model``, applies the reference frame's
+    fringes and, unless the photon budget is 0, adds shot noise drawn from
+    ``rng``.
     """
     renderer = FrameRenderer(config.grid, config.optics)
     render = renderer.render if config.loop.render_model == "linear" \
@@ -288,8 +289,8 @@ def _camera(config, rng):
         config.grid, DEFAULT_FRINGES if config.noise.reference_fringes else ())
     photons = config.noise.photons_per_pixel
 
-    def shoot(params):
-        frame = render(params)
+    def shoot(state):
+        frame = render(replace(config.phase, r_x=state.w, x0=state.x, z0=state.z))
         frame.data *= reference.data
         if photons:
             frame = add_shot_noise(frame, photons, rng)
@@ -343,26 +344,12 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_runs)]
 
-    def one(i):
-        sc = replace(scenario, seed=seeds[i])
-        try:
-            rec = run_experiment(sc, config)
-        except RuntimeError as exc:
-            return i, None, None, str(exc)
-        try:
-            return i, rec, summarize_run(rec, config), None
-        except ValueError as exc:  # record shorter than the accounting window
-            return i, None, None, str(exc)
-
-    results = [None] * n_runs
+    run = partial(_ensemble_run, scenario, config)
     if parallel:
         with ThreadPoolExecutor() as pool:
-            for i, rec, summ, err in pool.map(one, range(n_runs)):
-                results[i] = (rec, summ, err)
+            results = list(pool.map(run, seeds))
     else:
-        for i in range(n_runs):
-            _, rec, summ, err = one(i)
-            results[i] = (rec, summ, err)
+        results = list(map(run, seeds))
 
     summaries = [s for _, s, e in results if e is None]
     failures = [(i, e) for i, (_, s, e) in enumerate(results) if e is not None]
@@ -384,6 +371,22 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
     return records, summaries, summary
 
 
+def _ensemble_run(scenario, config, seed):
+    """(record, summary, None) of one ensemble run, or (None, None, error).
+
+    ``run_experiment`` is looked up in this module at call time, so a caller
+    that swaps ``harness.run_experiment`` sees every run.
+    """
+    try:
+        record = run_experiment(replace(scenario, seed=seed), config)
+    except RuntimeError as exc:
+        return None, None, str(exc)
+    try:
+        return record, summarize_run(record, config), None
+    except ValueError as exc:  # record shorter than the accounting window
+        return None, None, str(exc)
+
+
 def write_summary_json(summary, path):
     with open(path, "w") as f:
         json.dump(summary, f, sort_keys=True, indent=2)
@@ -401,9 +404,10 @@ def write_summary_csv(summaries, path):
 
 
 def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
-    """Monte-Carlo std of the raw in-situ estimates for a static object.
+    """Monte-Carlo std of the raw in-situ estimates for the cloud at rest.
 
-    The frames come from the loop's camera, so a photon budget of 0 gives zero
+    The frames come from the loop's camera, imaging the plant's equilibrium
+    state as a run's first frame does, so a photon budget of 0 gives zero
     noise.  Used to calibrate the photon budget against a target measurement
     noise.  A standard deviation needs at least two frames.
     """
@@ -412,11 +416,11 @@ def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
     config = config or ExperimentConfig()
     shoot, reference = _camera(config, np.random.default_rng(seed))
     estimator = InSituEstimator(config.grid, config.estimator)
-    params = replace(config.phase, x0=0.0, z0=0.0)
+    state = equilibrium_state(config.trap)
     xs, zs, ws = [], [], []
     for _ in range(n_frames):
         estimator.reset()  # independent frames: no filter memory
-        estimator.process(shoot(params), reference, 0.0)
+        estimator.process(shoot(state), reference, 0.0)
         raw = estimator.last_raw
         xs.append(raw.x_hat)
         zs.append(raw.z_hat)
@@ -429,14 +433,14 @@ def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
     }
 
 
-def dump_frames_writer(out_dir, every=10):
-    """collect_frames callback writing every n-th frame in the ASCII format."""
+def dump_frames_writer(out_dir):
+    """collect_frames callback writing every 10th frame in the ASCII format."""
     import os
 
     os.makedirs(out_dir, exist_ok=True)
 
     def cb(i, frame):
-        if i % every == 0:
+        if i % 10 == 0:
             write_ascii_grid(frame, os.path.join(out_dir, f"frame_{i:05d}.txt"))
 
     return cb

@@ -121,17 +121,13 @@ class OpticsParams:
     """Imaging-chain parameters.
 
     ``xi`` is the defocus distance between sample and object plane, ``eta``
-    the Gaussian-pupil resolution scale.  ``delta_tilde`` (detuning in
-    half-linewidths) and ``sigma0`` (resonant cross-section) fix the physical
-    phase scale but are carried as documented constants only; image synthesis
-    works directly from the peak phase.
+    the Gaussian-pupil resolution scale.  Image synthesis works directly from
+    the peak phase.
     """
 
     xi: float = 800e-6
     wavelength: float = RB87_D2_WAVELENGTH
     eta: float = 5.5e-6
-    delta_tilde: float = -1800.0
-    sigma0: float = 2.907e-13
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -314,8 +310,8 @@ DEFAULT_FRINGES = (
 )
 
 
-def make_reference(grid, fringes=DEFAULT_FRINGES, noise_std=0.0, rng=None):
-    """Reference (no-atom) frame: unity plus low-frequency fringes and noise.
+def make_reference(grid, fringes=DEFAULT_FRINGES):
+    """Reference (no-atom) frame: unity plus low-frequency fringes.
 
     Each fringe is (amplitude, (qx, qz) rad/m, phase offset).  Matched fringes
     in probe and reference cancel exactly in the estimator's ratio.
@@ -323,10 +319,6 @@ def make_reference(grid, fringes=DEFAULT_FRINGES, noise_std=0.0, rng=None):
     data = np.ones((grid.nz, grid.nx))
     for amp, (qx, qz), ph in fringes:
         data += amp * np.cos(qx * grid.xx + qz * grid.zz + ph)
-    if noise_std:
-        if rng is None:
-            raise ValueError("reference noise requires an rng")
-        data += noise_std * rng.standard_normal(data.shape)
     return ImageGrid(grid, data)
 
 

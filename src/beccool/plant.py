@@ -9,7 +9,7 @@ integrator; open-loop energy is conserved to machine precision.
 """
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,20 +60,12 @@ class TrapConfig:
         return 2 * np.pi * self.f_x
 
     @property
-    def omega_y(self):
-        return 2 * np.pi * self.f_y
-
-    @property
     def omega_z(self):
         return 2 * np.pi * self.f_z
 
     @property
     def omega_q(self):
         return QUADRUPOLE_RATIO * self.omega_x
-
-    def a_ho(self, omega):
-        """Harmonic oscillator length sqrt(hbar / (m omega))."""
-        return np.sqrt(self.hbar / (self.atom_mass * omega))
 
 
 @dataclass
@@ -173,25 +165,25 @@ class PlantState:
     which the harness adds per-sample actuator contributions.
     """
 
-    x: float = 0.0
-    vx: float = 0.0
-    z: float = 0.0
-    vz: float = 0.0
-    w: float = 17.31e-6
-    vw: float = 0.0
-    trap: SignalVector = field(default_factory=SignalVector)
-    t: float = 0.0
+    x: float
+    vx: float
+    z: float
+    vz: float
+    w: float
+    vw: float
+    trap: SignalVector
+    t: float
 
     def __post_init__(self):
         if self.w <= 0:
             raise ValueError("width-mode coordinate must be strictly positive")
 
 
-def equilibrium_state(cfg, t=0.0):
-    """State at rest at the unperturbed trap equilibrium."""
+def equilibrium_state(cfg):
+    """State at rest at the unperturbed trap equilibrium, at t = 0."""
     return PlantState(
         x=cfg.x_trap0, vx=0.0, z=cfg.z_trap0, vz=0.0, w=cfg.w_eq0, vw=0.0,
-        trap=SignalVector(), t=t,
+        trap=SignalVector(), t=0.0,
     )
 
 
@@ -311,11 +303,11 @@ class DelayLine:
     """FIFO actuator queue realizing the measured loop latency.
 
     Commands become effective ``delay`` seconds after being pushed; at sample
-    boundaries this quantizes the default 960 us latency to exactly one 1 ms
+    boundaries this quantizes the loop's 960 us latency to exactly one 1 ms
     sample.  ``pop_due`` returns every command due at time t, oldest first.
     """
 
-    def __init__(self, delay=960e-6):
+    def __init__(self, delay):
         if delay < 0:
             raise ValueError("delay must be >= 0")
         self.delay = delay
@@ -326,9 +318,9 @@ class DelayLine:
             raise ValueError("commands must be pushed in time order")
         self._queue.append((t + self.delay, u))
 
-    def pop_due(self, t, tol=1e-12):
+    def pop_due(self, t):
         due = []
-        while self._queue and self._queue[0][0] <= t + tol:
+        while self._queue and self._queue[0][0] <= t + 1e-12:
             due.append(self._queue.popleft()[1])
         return due
 

@@ -28,7 +28,7 @@ from beccool import (
     summarize_run,
 )
 from beccool import harness
-from beccool.harness import read_run_csv, write_summary_json
+from beccool.harness import RECORD_COLUMNS, RunRecord, read_run_csv, write_summary_json
 
 QUICK = Scenario(kind="quiet", feedback=False, duration=0.05, seed=3)
 NOISELESS = ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0,
@@ -85,6 +85,33 @@ def test_byte_identical_outputs_for_same_seed(tmp_path):
         rec.to_csv(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _per_value_csv(record, path):
+    # the row formatter to_csv used before it called np.savetxt
+    with open(path, "w") as f:
+        f.write(f"# beccool-run config_hash={record.config_hash} seed={record.seed} "
+                f"scenario={record.scenario.kind} feedback={int(record.scenario.feedback)}\n")
+        f.write(",".join(RECORD_COLUMNS) + "\n")
+        for row in zip(*[record.data[c] for c in RECORD_COLUMNS]):
+            f.write(",".join(f"{v:.10e}" for v in row) + "\n")
+
+
+def test_to_csv_bytes_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(11)
+    huge = np.finfo(float).max
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, huge, -huge, 5e-324, -5e-324,
+               2.5e-310, np.finfo(float).tiny, 1.0, -1.0, 0.1]
+    bit_patterns = np.frombuffer(rng.bytes(8 * 2500), dtype=np.float64)
+    n_rows = 218  # 23 columns x 218 rows = 5014 values
+    wide = rng.standard_normal(n_rows * len(RECORD_COLUMNS) - len(special) - bit_patterns.size)
+    wide *= 10.0 ** rng.integers(-320, 308, wide.size)
+    values = rng.permutation(np.concatenate([special, bit_patterns, wide]))
+    record = RunRecord(data=dict(zip(RECORD_COLUMNS, values.reshape(len(RECORD_COLUMNS), -1))),
+                       scenario=Scenario(), config_hash="0123456789abcdef", seed=5)
+    record.to_csv(tmp_path / "new.csv")
+    _per_value_csv(record, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_different_seed_changes_noise_not_structure():
@@ -252,6 +279,23 @@ def test_monte_carlo_records_short_runs_as_failures(parallel):
     assert len(records) == len(summaries) == 6 - summary["n_failed"]
     assert all(len(rec) >= 50 for rec in records)
     assert summary["stats"]["n_x_true"]["n"] == len(summaries)
+
+
+def test_serial_and_threaded_ensembles_identical_with_failures(tmp_path):
+    sc = Scenario(kind="quiet", feedback=False, duration=0.03, hold_random=(0.0, 0.05))
+    out = {}
+    for parallel in (False, True):
+        records, summaries, summary = monte_carlo(sc, n_runs=6, base_seed=0,
+                                                  parallel=parallel, keep_records=True)
+        csvs = []
+        for k, rec in enumerate(records):
+            rec.to_csv(tmp_path / f"run_{parallel}_{k}.csv")
+            csvs.append((tmp_path / f"run_{parallel}_{k}.csv").read_bytes())
+        # the summary JSON carries failed_runs
+        out[parallel] = (json.dumps(summaries, sort_keys=True),
+                         json.dumps(summary, sort_keys=True), csvs)
+    assert 0 < summary["n_failed"] < 6
+    assert out[True] == out[False]
 
 
 def test_monte_carlo_all_short_runs_fail():
@@ -446,6 +490,15 @@ def test_cli_calibrate_noise_noiseless(tmp_path, capsys):
     assert code == 0, captured.err
     for key in ("sigma_x", "sigma_z", "sigma_w"):
         assert f"{key} = 0.0000 um" in captured.out
+
+
+def test_noise_probe_images_the_first_frame_of_a_run():
+    # both take the cloud width from the plant (trap.w_eq0 at rest), not from
+    # config.phase.r_x
+    config = replace(NOISELESS, trap=replace(NOISELESS.trap, w_eq0=20e-6))
+    probe = measure_pipeline_noise(config, n_frames=2)
+    record = run_experiment(Scenario(kind="quiet", feedback=False, duration=0.002), config)
+    assert probe["mean_w"] == record.column("w_raw")[0]
 
 
 def test_measure_pipeline_noise_uses_fresnel_camera():
