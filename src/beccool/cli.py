@@ -175,7 +175,7 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or made
         return _fail(2, "config", str(exc))
     except RuntimeError as exc:
         return _fail(1, "runtime", str(exc))

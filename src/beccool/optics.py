@@ -248,10 +248,24 @@ def _fresnel_kernel(*values):
 @lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _kernel_for(values, _key):
     nx, nz, pitch, eta, xi, k = values
-    k_sq = GridSpec(nx, nz, pitch).k_sq
-    kernel = np.exp(-eta**2 * k_sq) * np.exp(1j * xi / (2 * k) * k_sq)
+    # The kernel depends on a pixel only through its k^2, and kx, kz hold
+    # exact negatives, so k^2 repeats across both mirror axes (and the
+    # diagonal when nx == nz): 1973 distinct values on 128x128.  Each value
+    # goes through the same elementwise expression as on the full grid.
+    levels, inv = _k_sq_levels(nx, nz, pitch)
+    kernel = (np.exp(-eta**2 * levels) * np.exp(1j * xi / (2 * k) * levels))[inv]
     kernel.flags.writeable = False
     return kernel
+
+
+@lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _k_sq_levels(nx, nz, pitch):
+    """Sorted distinct values of GridSpec(nx, nz, pitch).k_sq and the (nz, nx)
+    index array that gathers them back onto the grid."""
+    levels, inv = np.unique(GridSpec(nx, nz, pitch).k_sq, return_inverse=True)
+    inv = inv.reshape(nz, nx)  # numpy < 2 returns it flat
+    levels.flags.writeable = inv.flags.writeable = False
+    return levels, inv
 
 
 def linearized_image(phase, opt):

@@ -19,6 +19,7 @@ from beccool import (
     tf_phase,
     tof_variance,
 )
+from beccool import optics
 from beccool.constants import HBAR, RB87_MASS
 
 TAU = 1e-3
@@ -239,6 +240,40 @@ def test_fit_defocus_recovery_on_noisy_synthetics(fit_setup):
         res = fit_shadowgraph(avg, start, opt, fit_xi=True)
         assert res.converged
         assert res.xi == pytest.approx(800e-6, rel=0.05)
+
+
+def _full_grid_kernel(values, _key):
+    nx, nz, pitch, eta, xi, k = values
+    k_sq = GridSpec(nx, nz, pitch).k_sq
+    return np.exp(-eta**2 * k_sq) * np.exp(1j * xi / (2 * k) * k_sq)
+
+
+def _fit_bits(res):
+    p = res.params
+    floats = (p.phi0, p.r_x, p.r_z, p.x0, p.z0, res.xi, res.residual_norm)
+    return [float(v).hex() for v in floats], res.converged, res.n_eval
+
+
+def test_defocus_fit_path_matches_full_grid_kernel(fit_setup, monkeypatch):
+    # criterion 9's noisy frame: the kernel built from the grid's distinct
+    # k^2 values leads the solver along the same path, float for float, as
+    # the kernel evaluated on every pixel; one fit builds one level table
+    grid, opt = fit_setup
+    true = PhaseParams()
+    img = fresnel_image(tf_phase(true, grid), opt)
+    start = PhaseParams(phi0=-0.095, r_x=true.r_x * 0.9, r_z=true.r_z * 1.1,
+                        x0=1.5e-6, z0=-1e-6)
+    rng = np.random.default_rng(99)
+    avg = img.__class__(grid, np.mean([add_shot_noise(img, 1e6, rng).data
+                                       for _ in range(4)], axis=0))
+    optics._kernel_for.cache_clear()
+    optics._k_sq_levels.cache_clear()
+    got = fit_shadowgraph(avg, start, opt, fit_xi=True)
+    assert optics._k_sq_levels.cache_info().misses == 1
+    assert optics._kernel_for.cache_info().misses > 1
+    monkeypatch.setattr(optics, "_kernel_for", _full_grid_kernel)
+    want = fit_shadowgraph(avg, start, opt, fit_xi=True)
+    assert _fit_bits(got) == _fit_bits(want)
 
 
 def test_fit_truth_is_global_minimum_on_coarse_grid(fit_setup):

@@ -380,6 +380,25 @@ def test_cli_error_paths(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
+def _single_config_error(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR ")
+    return json.loads(lines[0].split(" ", 1)[1])
+
+
+def test_cli_out_path_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["run", "--scenario", "quiet", "--out", str(taken)]) == 2
+    assert _single_config_error(capsys)["kind"] == "config"
+
+
+def test_cli_config_path_is_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert _single_config_error(capsys)["kind"] == "config"
+
+
 def test_cli_dump_frames(tmp_path):
     cfgp = _write_quick_config(tmp_path, duration=0.012)
     out = tmp_path / "dump"

@@ -23,7 +23,7 @@ from beccool import (
     write_ascii_grid,
     write_pgm16,
 )
-from beccool.optics import _fresnel_kernel, _j2_over_x2, _kernel_for
+from beccool.optics import _fresnel_kernel, _j2_over_x2, _k_sq_levels, _kernel_for
 from conftest import band_limited_phase
 
 
@@ -365,3 +365,28 @@ def test_fresnel_kernel_cache_is_never_stale():
                 with pytest.raises(ValueError):
                     cached[0, 0] = 0.0
     assert _kernel_for.cache_info().currsize <= 2
+
+
+# --- the kernel built from the grid's distinct k^2 values equals the --------
+# --- full-grid formula byte for byte ----------------------------------------
+
+
+_sizes = st.sampled_from([2, 4, 32, 128, 256])
+
+
+@settings(max_examples=150, deadline=None)
+@given(nx=_sizes, nz=_sizes, pitch=st.floats(1e-6, 1e-5),
+       eta=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 12e-6)),
+       xi=_defocus, wavelength=st.floats(400e-9, 1100e-9))
+# one grid shape at two pitches: each pitch needs its own level table
+@example(nx=32, nz=4, pitch=5.5e-6, eta=5.5e-6, xi=800e-6, wavelength=780e-9)
+@example(nx=32, nz=4, pitch=4e-6, eta=5.5e-6, xi=800e-6, wavelength=780e-9)
+def test_fresnel_kernel_from_k_sq_levels_is_exact(nx, nz, pitch, eta, xi, wavelength):
+    grid = GridSpec(nx=nx, nz=nz, pitch=pitch)
+    levels, inv = _k_sq_levels(nx, nz, pitch)
+    assert inv.shape == (nz, nx)
+    assert levels[inv].tobytes() == grid.k_sq.tobytes()
+    opt = OpticsParams(xi=xi, eta=eta, wavelength=wavelength)
+    kernel = _fresnel_kernel(nx, nz, pitch, opt.eta, opt.xi, opt.k)
+    assert kernel.shape == (nz, nx)
+    assert kernel.tobytes() == _kernel_uncached(grid, opt).tobytes()
