@@ -23,7 +23,6 @@ from .controller import (
     ControllerConfig,
     DerivativeController,
     calibrate_gains,
-    control_update,
     loop_gain,
     nominal_gain_matrix,
 )
@@ -36,7 +35,6 @@ from .estimator import (
     density_estimate,
     extract_moments,
     finite_difference,
-    moment,
     nonlinear_filter,
 )
 from .harness import (

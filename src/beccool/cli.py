@@ -12,10 +12,8 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import analysis, harness
-from .controller import calibrate_gains, loop_gain, nominal_gain_matrix
+from . import harness
+from .controller import loop_gain
 from .plant import nominal_transfer_matrix
 
 
@@ -85,21 +83,9 @@ def cmd_analyze(args):
     if not paths:
         return _fail(2, "usage", f"no run_*.csv records under {args.records}")
     config, _ = _load(args)
-    rows = []
-    for p in paths:
-        data, meta = harness.read_run_csv(p)
-        tags = dict(tok.split("=", 1) for tok in meta.split() if "=" in tok)
-        missing = {"config_hash", "seed", "scenario", "feedback"} - tags.keys()
-        if missing:
-            raise ValueError(f"{p}: run header lacks {', '.join(sorted(missing))}")
-        scenario = harness.Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1")
-        record = harness.RunRecord(data=data, scenario=scenario,
-                                   config_hash=tags["config_hash"], seed=int(tags["seed"]))
-        rows.append(harness.summarize_run(record, config))
+    rows = [harness.summarize_run(harness.RunRecord.from_csv(p), config) for p in paths]
     os.makedirs(args.out, exist_ok=True)
-    modes = {k: np.array([r[k] for r in rows])
-             for k in rows[0] if k.startswith("n_")}
-    harness.write_summary_json({"n_runs": len(rows), "stats": analysis.ensemble_stats(modes)},
+    harness.write_summary_json({"n_runs": len(rows), "stats": harness.phonon_stats(rows)},
                                os.path.join(args.out, "analysis.json"))
     harness.write_summary_csv(rows, os.path.join(args.out, "analysis.csv"))
     print(f"analyzed {len(rows)} records -> {args.out}")
@@ -110,8 +96,7 @@ def cmd_calibrate(args):
     config, _ = _load(args)
     if args.what == "gains":
         g = nominal_transfer_matrix()
-        l_nom = loop_gain(g, nominal_gain_matrix())
-        k = calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
+        k = replace(config, gain_mode="calibrated").resolved_controller(g, 0.0).k
         l_cal = loop_gain(g, k)
         print("calibrated K (V/um):")
         for row in k:

@@ -8,3 +8,5 @@ RB87_D2_WAVELENGTH = 780.241e-9           # m, imaging light default
 
 # x-direction TF radius: the ~5 um z radius scaled by f_z/f_x (radius ~ 1/omega)
 TF_RADIUS_X = 5e-6 * 70.3 / 20.3  # m
+
+SAMPLE_PERIOD = 1e-3  # s, the loop's 1 kHz camera and control rate

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimator import LowPass
+from .constants import SAMPLE_PERIOD
+from .estimator import LowPass, finite_difference
 from .plant import ActuatorVector
 
 
@@ -90,7 +91,7 @@ def calibrate_gains(g, target_x, target_z, target_w):
 @dataclass
 class ControllerConfig:
     k: np.ndarray = field(default_factory=nominal_gain_matrix)
-    sample_period: float = 1e-3
+    sample_period: float = SAMPLE_PERIOD
     enable_time: float = 0.02
     output_cutoff_hz: float = 100.0  # power channels only; None disables
     saturation: float = None         # symmetric volt clamp; None disables
@@ -120,13 +121,6 @@ class DerivativeController:
         self.prev = None
         self.last_raw = np.zeros(4)
 
-    def reset(self):
-        if self._lp:
-            for lp in self._lp:
-                lp.reset()
-        self.prev = None
-        self.last_raw = np.zeros(4)
-
     def step(self, m, t):
         """Consume the measurement for this sample and emit actuator voltages.
 
@@ -137,7 +131,7 @@ class DerivativeController:
         if self.prev is None or t < self.cfg.enable_time:
             raw = np.zeros(4)
         else:
-            raw = self.cfg.k @ (m - self.prev)
+            raw = self.cfg.k @ finite_difference(m, self.prev)
         self.prev = m
         self.last_raw = raw
         u = raw.copy()
@@ -150,8 +144,3 @@ class DerivativeController:
             u = np.clip(u, -self.cfg.saturation, self.cfg.saturation)
         return ActuatorVector.from_array(u)
 
-
-def control_update(m_i, m_prev, k):
-    """Single stateless update u = K (m_i - m_prev), no filtering or clamping."""
-    k = np.asarray(k, dtype=float)
-    return ActuatorVector.from_array(k @ (np.asarray(m_i, float) - np.asarray(m_prev, float)))

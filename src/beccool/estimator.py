@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as sfft
 
+from .constants import SAMPLE_PERIOD
 from .optics import ImageGrid
 
 
@@ -41,6 +42,18 @@ class MeasurementVector:
 
 
 @dataclass
+class EstimatorConfig:
+    region_halfwidth_px: int = 12
+    background_margin_frac: float = 0.15
+    x_cutoff_hz: float = 60.0
+    w_cutoff_hz: float = 100.0
+    sample_period: float = SAMPLE_PERIOD
+    # frames whose rho^6 mass falls below this fraction of the first frame's
+    # mass are declared degenerate: hold the last measurement and flag it
+    degenerate_mass_fraction: float = 1e-4
+
+
+@dataclass
 class RegionMask:
     """Disjoint pixel regions: where atoms may live, and pure background."""
 
@@ -63,7 +76,8 @@ class RegionMask:
         return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
 
     @classmethod
-    def centered(cls, grid, halfwidth_px=12, margin_frac=0.15):
+    def centered(cls, grid, halfwidth_px=EstimatorConfig.region_halfwidth_px,
+                 margin_frac=EstimatorConfig.background_margin_frac):
         """Square atom region at the frame center; background = outer margin band."""
         atoms = np.zeros((grid.nz, grid.nx), dtype=bool)
         cz, cx = grid.nz // 2, grid.nx // 2
@@ -99,16 +113,6 @@ def nonlinear_filter(rho):
     if isinstance(rho, ImageGrid):
         return ImageGrid(rho.grid, rho.data**6)
     return np.asarray(rho) ** 6
-
-
-def moment(weights, mask, grid, axis="x", order=1):
-    """Weighted coordinate moment over the atom region only."""
-    w = np.where(mask.atoms, weights.data if isinstance(weights, ImageGrid) else weights, 0.0)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("moment weights vanish on the atom region")
-    coord = grid.xx if axis == "x" else grid.zz
-    return float((w * coord**order).sum() / total)
 
 
 def extract_moments(rho6, mask, grid):
@@ -155,18 +159,6 @@ class LowPass:
 def finite_difference(m_i, m_prev):
     """Raw per-sample difference; the controller gain absorbs the 1/tau."""
     return np.asarray(m_i, dtype=float) - np.asarray(m_prev, dtype=float)
-
-
-@dataclass
-class EstimatorConfig:
-    region_halfwidth_px: int = 12
-    background_margin_frac: float = 0.15
-    x_cutoff_hz: float = 60.0
-    w_cutoff_hz: float = 100.0
-    sample_period: float = 1e-3
-    # frames whose rho^6 mass falls below this fraction of the first frame's
-    # mass are declared degenerate: hold the last measurement and flag it
-    degenerate_mass_fraction: float = 1e-4
 
 
 class InSituEstimator:

@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from . import analysis
+from .constants import SAMPLE_PERIOD
 from .controller import ControllerConfig, DerivativeController, calibrate_gains, nominal_gain_matrix
 from .estimator import EstimatorConfig, InSituEstimator
 from .optics import (
@@ -46,7 +47,6 @@ from .plant import (
     width_equilibrium,
 )
 
-SAMPLE_PERIOD = 1e-3
 LOOP_DELAY = 960e-6
 NOISE_PROBE_FRAMES = 40  # frames behind each measure_pipeline_noise std
 
@@ -168,16 +168,26 @@ class RunRecord:
             np.savetxt(f, np.column_stack([self.data[c] for c in RECORD_COLUMNS]),
                        fmt="%.10e", delimiter=",")
 
-
-def read_run_csv(path):
-    """Load a run written by RunRecord.to_csv as a column dict."""
-    with open(path) as f:
-        header_meta = f.readline().strip()
-        names = f.readline().strip().split(",")
-        rows = np.loadtxt(f, delimiter=",")
-    rows = np.atleast_2d(rows)
-    data = {name: rows[:, i] for i, name in enumerate(names)}
-    return data, header_meta
+    @classmethod
+    def from_csv(cls, path):
+        """The record ``to_csv`` wrote to ``path``; a malformed file raises ValueError."""
+        with open(path) as f:
+            tags = dict(tok.split("=", 1) for tok in f.readline().split() if "=" in tok)
+            names = f.readline().strip().split(",")
+            lines = [line for line in f if line.strip()]
+        missing = {"config_hash", "seed", "scenario", "feedback"} - tags.keys()
+        if missing:
+            raise ValueError(f"{path}: run header lacks {', '.join(sorted(missing))}")
+        if names != RECORD_COLUMNS:
+            raise ValueError(f"{path}: run columns differ from RECORD_COLUMNS: missing "
+                             f"{[c for c in RECORD_COLUMNS if c not in names]}, "
+                             f"unexpected {[c for c in names if c not in RECORD_COLUMNS]}")
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
+        if rows.shape[1:] != (len(names),):
+            raise ValueError(f"{path}: run record has no data rows of {len(names)} values")
+        return cls(data=dict(zip(names, rows.T)), config_hash=tags["config_hash"],
+                   scenario=Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1"),
+                   seed=int(tags["seed"]))
 
 
 def config_hash(config, scenario=None):
@@ -355,9 +365,6 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
     failures = [(i, e) for i, (_, s, e) in enumerate(results) if e is not None]
     if not summaries:
         raise RuntimeError(f"all {n_runs} runs failed; first: {failures[0][1]}")
-    modes = {}
-    for key in ("n_x_true", "n_z_true", "n_w_true", "n_x_meas", "n_z_meas", "n_w_meas"):
-        modes[key] = np.array([s[key] for s in summaries])
     summary = {
         "n_runs": n_runs,
         "n_failed": len(failures),
@@ -365,10 +372,16 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
         "base_seed": base_seed,
         "config_hash": config_hash(config, scenario),
         "feedback": scenario.feedback,
-        "stats": analysis.ensemble_stats(modes),
+        "stats": phonon_stats(summaries),
     }
     records = [r for r, _, e in results if e is None] if keep_records else None
     return records, summaries, summary
+
+
+def phonon_stats(summaries):
+    """ensemble_stats of every n_* phonon number across per-run summaries."""
+    return analysis.ensemble_stats(
+        {key: [s[key] for s in summaries] for key in summaries[0] if key.startswith("n_")})
 
 
 def _ensemble_run(scenario, config, seed):

@@ -250,10 +250,14 @@ def _kernel_for(values, _key):
     nx, nz, pitch, eta, xi, k = values
     # The kernel depends on a pixel only through its k^2, and kx, kz hold
     # exact negatives, so k^2 repeats across both mirror axes (and the
-    # diagonal when nx == nz): 1973 distinct values on 128x128.  Each value
-    # goes through the same elementwise expression as on the full grid.
+    # diagonal when nx == nz): 1973 distinct values on 128x128.  The two
+    # exponentials, the costly part, run on those values alone; their
+    # product is formed from grid-sized temporaries, as in the full-grid
+    # formula.  From 256 KiB numpy elides such a temporary and multiplies
+    # into it, which flips the zero sign of the imaginary part where the
+    # pupil factor is subnormal, so the product must see the same sizes.
     levels, inv = _k_sq_levels(nx, nz, pitch)
-    kernel = (np.exp(-eta**2 * levels) * np.exp(1j * xi / (2 * k) * levels))[inv]
+    kernel = np.exp(-eta**2 * levels)[inv] * np.exp(1j * xi / (2 * k) * levels)[inv]
     kernel.flags.writeable = False
     return kernel
 

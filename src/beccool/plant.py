@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import HBAR, RB87_MASS, TF_RADIUS_X
+from .constants import HBAR, RB87_MASS, SAMPLE_PERIOD, TF_RADIUS_X
 
 # Low-lying axial quadrupole of a prolate trap oscillates at sqrt(5/2) * omega_x.
 QUADRUPOLE_RATIO = float(np.sqrt(2.5))
@@ -90,12 +90,6 @@ class ActuatorVector:
         if u.shape != (4,):
             raise ValueError("actuator vector must have 4 components")
         return cls(*u)
-
-    def clamped(self, limit):
-        """Symmetric saturation clamp at +/- limit volts (None = no clamp)."""
-        if limit is None:
-            return self
-        return ActuatorVector.from_array(np.clip(self.as_array(), -limit, limit))
 
 
 @dataclass
@@ -272,7 +266,7 @@ def mode_energies(state, cfg, s=None):
     return {"x": e_x, "z": e_z, "w": e_w}
 
 
-def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=1e-3):
+def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PERIOD):
     """Sinusoidally modulate the trap curvature for a whole number of periods.
 
     domega_x_sq(t) = amplitude * sin(drive_freq * t) is applied on top of the

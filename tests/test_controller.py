@@ -8,7 +8,6 @@ from beccool import (
     LowPass,
     SignalVector,
     calibrate_gains,
-    control_update,
     equilibrium_state,
     loop_gain,
     mode_energies,
@@ -38,14 +37,32 @@ def test_loop_gain_reproduces_documented_values():
     assert np.all(loop_gain(nominal_transfer_matrix(), np.zeros((4, 3))) == 0.0)
 
 
+def _control_update(m_i, m_prev, k, saturation=None):
+    """u = K (m_i - m_prev) from the loop's controller, stepped twice, unfiltered."""
+    ctl = DerivativeController(ControllerConfig(k=k, enable_time=0.0, output_cutoff_hz=None,
+                                                saturation=saturation))
+    ctl.step(m_prev, 0.0)
+    return ctl.step(m_i, TAU)
+
+
 def test_control_update_paper_rows():
     k = nominal_gain_matrix()
-    u = control_update([1e-6, 0.0, 0.0], [0.0, 0.0, 0.0], k)
+    u = _control_update([1e-6, 0.0, 0.0], [0.0, 0.0, 0.0], k)
     assert u.as_array() == pytest.approx([-0.82, 0.0, 0.0, 0.0], abs=1e-12)
-    u = control_update([0.0, 0.0, 1e-6], [0.0, 0.0, 0.0], k)
+    u = _control_update([0.0, 0.0, 1e-6], [0.0, 0.0, 0.0], k)
     assert u.as_array() == pytest.approx([0.0, 0.0, -0.38, 0.16], abs=1e-12)
-    u = control_update([3.0, -1.0, 2.0], [3.0, -1.0, 2.0], k)
+    u = _control_update([3.0, -1.0, 2.0], [3.0, -1.0, 2.0], k)
     assert np.all(u.as_array() == 0.0)
+
+
+def test_controller_saturation_clamp():
+    # K maps a unit x step onto the four-channel vector [12, -11, 3, -2]
+    k = np.zeros((4, 3))
+    k[:, 0] = [12.0, -11.0, 3.0, -2.0]
+    u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k, saturation=10.0)
+    assert u.as_array() == pytest.approx([10.0, -10.0, 3.0, -2.0])
+    u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k)  # default None: no clamp
+    assert u.as_array() == pytest.approx([12.0, -11.0, 3.0, -2.0])
 
 
 def test_controller_enable_gating_and_zero_decay():

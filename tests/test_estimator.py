@@ -21,7 +21,6 @@ from beccool import (
     finite_difference,
     linearized_image,
     make_reference,
-    moment,
     nonlinear_filter,
 )
 from conftest import band_limited_phase
@@ -117,7 +116,6 @@ def test_moments_symmetric_center_and_translation(grid, mask):
     cz, cx = grid.nz // 2, grid.nx // 2
     rho6 = np.zeros((grid.nz, grid.nx))
     rho6[cz - 3:cz + 4, cx - 3:cx + 4] = [[1, 2, 3, 4, 3, 2, 1]] * 7
-    assert moment(rho6, mask, grid, axis="x", order=1) == pytest.approx(0.0, abs=1e-20)
     x1, z1, wx, wz, mass = extract_moments(rho6, mask, grid)
     assert x1 == pytest.approx(0.0, abs=1e-20) and z1 == pytest.approx(0.0, abs=1e-20)
     rolled = np.roll(rho6, 1, axis=1)  # one pixel along +x

@@ -28,7 +28,7 @@ from beccool import (
     summarize_run,
 )
 from beccool import harness
-from beccool.harness import RECORD_COLUMNS, RunRecord, read_run_csv, write_summary_json
+from beccool.harness import RECORD_COLUMNS, RunRecord, write_summary_json
 
 QUICK = Scenario(kind="quiet", feedback=False, duration=0.05, seed=3)
 NOISELESS = ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0,
@@ -70,11 +70,25 @@ def test_run_record_csv_roundtrip(tmp_path):
     rec = run_experiment(QUICK, short_config())
     path = tmp_path / "run.csv"
     rec.to_csv(path)
-    data, meta = read_run_csv(path)
-    assert f"seed={QUICK.seed}" in meta
-    np.testing.assert_allclose(data["x"], rec.column("x"), rtol=1e-9)
-    assert data["t"].size == len(rec)
+    back = RunRecord.from_csv(path)
+    assert back.seed == QUICK.seed and back.config_hash == rec.config_hash
+    assert back.scenario.kind == QUICK.kind and back.scenario.feedback == QUICK.feedback
+    np.testing.assert_allclose(back.column("x"), rec.column("x"), rtol=1e-9)
+    assert back.column("t").size == len(rec)
     np.testing.assert_allclose(np.diff(rec.column("t")), 1e-3, rtol=1e-12)
+
+
+@pytest.mark.parametrize("feedback", [True, False])
+@pytest.mark.parametrize("kind", ["dipole_kick", "quadrupole_drive", "quiet"])
+def test_run_record_csv_rereads_to_identical_bytes(tmp_path, kind, feedback):
+    rec = run_experiment(Scenario(kind=kind, feedback=feedback, duration=0.04, seed=5))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    rec.to_csv(first)
+    back = RunRecord.from_csv(first)
+    back.to_csv(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (back.seed, back.config_hash, back.scenario.kind, back.scenario.feedback) == \
+        (rec.seed, rec.config_hash, kind, feedback)
 
 
 def test_byte_identical_outputs_for_same_seed(tmp_path):
@@ -441,6 +455,30 @@ def test_cli_analyze_rejects_incomplete_header(tmp_path, capsys):
     code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
     assert code == 2
     assert "run header lacks config_hash, feedback, scenario" in capsys.readouterr().err
+
+
+def _header_and_columns(columns):
+    return ("# beccool-run config_hash=0 seed=3 scenario=quiet feedback=0\n"
+            + ",".join(columns) + "\n")
+
+
+def test_cli_analyze_rejects_record_missing_a_column(tmp_path, capsys):
+    columns = [c for c in RECORD_COLUMNS if c != "trap_x"]
+    (tmp_path / "run_3.csv").write_text(
+        _header_and_columns(columns) + ",".join(["0.0"] * len(columns)) + "\n")
+    code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    message = _single_config_error(capsys)["message"]
+    assert "run_3.csv" in message and "trap_x" in message
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,0.0\n"], ids=["header_only", "short_row"])
+def test_cli_analyze_rejects_record_without_full_rows(tmp_path, capsys, rows):
+    (tmp_path / "run_3.csv").write_text(_header_and_columns(RECORD_COLUMNS) + rows)
+    code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    message = _single_config_error(capsys)["message"]
+    assert "run_3.csv" in message and "no data rows" in message
 
 
 _BAD_VALUES = [

@@ -64,12 +64,6 @@ def test_actuator_to_signal_linearity(seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
 
-def test_actuator_clamp():
-    u = ActuatorVector(12.0, -11.0, 3.0, -2.0).clamped(10.0)
-    assert u.as_array() == pytest.approx([10.0, -10.0, 3.0, -2.0])
-    assert ActuatorVector(12.0).clamped(None).v_x == 12.0
-
-
 def test_step_equilibrium_fixed_point(trap):
     state = equilibrium_state(trap)
     out = step(state, SignalVector(), 0.0371, trap)
