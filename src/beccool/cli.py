@@ -96,7 +96,7 @@ def cmd_calibrate(args):
     config, _ = _load(args)
     if args.what == "gains":
         g = nominal_transfer_matrix()
-        k = replace(config, gain_mode="calibrated").resolved_controller(g, 0.0).k
+        k = replace(config, gain_mode="calibrated").gain_matrix(g)
         l_cal = loop_gain(g, k)
         print("calibrated K (V/um):")
         for row in k:

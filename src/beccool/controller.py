@@ -6,7 +6,7 @@ K carries V/m against a per-sample measurement difference: the 1/tau of the
 finite-difference derivative is absorbed into the gains.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,34 +90,35 @@ def calibrate_gains(g, target_x, target_z, target_w):
 
 @dataclass
 class ControllerConfig:
-    k: np.ndarray = field(default_factory=nominal_gain_matrix)
-    sample_period: float = SAMPLE_PERIOD
-    enable_time: float = 0.02
+    """The output stage; the gain matrix and loop timing are constructor arguments."""
+
     output_cutoff_hz: float = 100.0  # power channels only; None disables
     saturation: float = None         # symmetric volt clamp; None disables
     clamp_before_filter: bool = False
 
     def __post_init__(self):
-        if self.enable_time < 0:
-            raise ValueError("enable time must be >= 0")
-        self.k = np.asarray(self.k, dtype=float)
-        if self.k.shape != (4, 3):
-            raise ValueError("gain matrix must be 4x3")
+        for name in ("output_cutoff_hz", "saturation"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive or None (disabled), got {value!r}")
 
 
 class DerivativeController:
     """Stateful controller: remembers the previous measurement and the output
     filter memory on the two power channels.
 
-    Measurements flow through continuously; before the enable time the output
+    Measurements flow through continuously; before ``enable_time`` the output
     is the zero vector while the filters keep decaying toward rest.
     """
 
-    def __init__(self, cfg=None):
+    def __init__(self, k, enable_time, cfg=None, sample_period=SAMPLE_PERIOD):
+        self.k = np.asarray(k, dtype=float)
+        if self.k.shape != (4, 3):
+            raise ValueError("gain matrix must be 4x3")
+        self.enable_time = enable_time
         self.cfg = cfg or ControllerConfig()
-        tau = self.cfg.sample_period
         fc = self.cfg.output_cutoff_hz
-        self._lp = (LowPass(fc, tau), LowPass(fc, tau)) if fc else None
+        self._lp = (LowPass(fc, sample_period), LowPass(fc, sample_period)) if fc else None
         self.prev = None
         self.last_raw = np.zeros(4)
 
@@ -128,10 +129,10 @@ class DerivativeController:
         convention; differencing makes any constant offset irrelevant.
         """
         m = np.asarray(m, dtype=float)
-        if self.prev is None or t < self.cfg.enable_time:
+        if self.prev is None or t < self.enable_time:
             raw = np.zeros(4)
         else:
-            raw = self.cfg.k @ finite_difference(m, self.prev)
+            raw = self.k @ finite_difference(m, self.prev)
         self.prev = m
         self.last_raw = raw
         u = raw.copy()

@@ -47,7 +47,6 @@ class EstimatorConfig:
     background_margin_frac: float = 0.15
     x_cutoff_hz: float = 60.0
     w_cutoff_hz: float = 100.0
-    sample_period: float = SAMPLE_PERIOD
     # frames whose rho^6 mass falls below this fraction of the first frame's
     # mass are declared degenerate: hold the last measurement and flag it
     degenerate_mass_fraction: float = 1e-4
@@ -164,14 +163,14 @@ def finite_difference(m_i, m_prev):
 class InSituEstimator:
     """Stateful frame-to-measurement pipeline for one control loop."""
 
-    def __init__(self, grid, cfg=None, mask=None):
+    def __init__(self, grid, cfg=None, mask=None, sample_period=SAMPLE_PERIOD):
         self.grid = grid
         self.cfg = cfg or EstimatorConfig()
         self.mask = mask or RegionMask.centered(
             grid, self.cfg.region_halfwidth_px, self.cfg.background_margin_frac
         )
-        self.lp_x = LowPass(self.cfg.x_cutoff_hz, self.cfg.sample_period)
-        self.lp_w = LowPass(self.cfg.w_cutoff_hz, self.cfg.sample_period)
+        self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
+        self.lp_w = LowPass(self.cfg.w_cutoff_hz, sample_period)
         self.last = None
         self.last_raw = None
         self._mass_ref = None

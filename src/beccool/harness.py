@@ -93,20 +93,17 @@ class ExperimentConfig:
         if self.gain_mode not in ("nominal", "calibrated"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
 
-    def resolved_controller(self, g, enable_time):
-        """Controller config with the gain matrix implied by gain_mode.
+    def gain_matrix(self, g):
+        """The gain matrix K implied by gain_mode.
 
         'calibrated' solves for K against the run's actual transfer matrix at
         the nominal per-channel loop-gain targets (exactly zeroed sag
         coupling); 'nominal' uses the documented matrix verbatim.
         """
         if self.gain_mode == "nominal":
-            k = nominal_gain_matrix()
-        else:
-            l_nom = nominal_transfer_matrix() @ nominal_gain_matrix()
-            k = calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
-        return replace(self.controller, k=k, sample_period=self.loop.sample_period,
-                       enable_time=enable_time)
+            return nominal_gain_matrix()
+        l_nom = nominal_transfer_matrix() @ nominal_gain_matrix()
+        return calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
 
 
 @dataclass
@@ -213,10 +210,9 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
     g = perturb_transfer_matrix(nominal_transfer_matrix(), rng_drift,
                                 config.noise.g_drift_scale)
-    controller = DerivativeController(
-        config.resolved_controller(g, enable_time=scenario.enable_time))
-    estimator = InSituEstimator(config.grid, replace(config.estimator,
-                                                     sample_period=tau))
+    controller = DerivativeController(config.gain_matrix(g), scenario.enable_time,
+                                      config.controller, tau)
+    estimator = InSituEstimator(config.grid, config.estimator, sample_period=tau)
     shoot, reference = _camera(config, rng_shot)
     delay = DelayLine(config.loop.delay)
 

@@ -39,8 +39,8 @@ def test_loop_gain_reproduces_documented_values():
 
 def _control_update(m_i, m_prev, k, saturation=None):
     """u = K (m_i - m_prev) from the loop's controller, stepped twice, unfiltered."""
-    ctl = DerivativeController(ControllerConfig(k=k, enable_time=0.0, output_cutoff_hz=None,
-                                                saturation=saturation))
+    ctl = DerivativeController(k, 0.0, ControllerConfig(output_cutoff_hz=None,
+                                                        saturation=saturation))
     ctl.step(m_prev, 0.0)
     return ctl.step(m_i, TAU)
 
@@ -65,8 +65,21 @@ def test_controller_saturation_clamp():
     assert u.as_array() == pytest.approx([12.0, -11.0, 3.0, -2.0])
 
 
+@pytest.mark.parametrize("bad", [dict(saturation=0.0), dict(saturation=-1.0),
+                                 dict(output_cutoff_hz=0.0), dict(output_cutoff_hz=-5.0),
+                                 dict(saturation=float("nan"))])
+def test_controller_config_rejects_non_positive_output_stage(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ControllerConfig(**bad)
+
+
+def test_controller_gain_matrix_must_be_4x3():
+    with pytest.raises(ValueError, match="4x3"):
+        DerivativeController(np.zeros((3, 4)), 0.0)
+
+
 def test_controller_enable_gating_and_zero_decay():
-    ctl = DerivativeController(ControllerConfig(enable_time=0.004))
+    ctl = DerivativeController(nominal_gain_matrix(), 0.004)
     for i in range(4):
         u = ctl.step([1e-6 * i, 0, 0], i * TAU)
         assert np.all(u.as_array() == 0.0)  # disabled: zero vector
@@ -75,7 +88,7 @@ def test_controller_enable_gating_and_zero_decay():
 
 
 def test_controller_output_filter_on_power_channels_only():
-    ctl = DerivativeController(ControllerConfig(enable_time=0.0))
+    ctl = DerivativeController(nominal_gain_matrix(), 0.0)
     ctl.step([0.0, 0.0, 0.0], 0.0)
     u = ctl.step([0.0, 0.0, 1e-6], TAU)
     alpha = LowPass(100.0, TAU).alpha
@@ -94,7 +107,7 @@ def test_controller_derivative_only_offset_invariance():
     record = rng.normal(size=(40, 3)) * 1e-6
     outs = []
     for offset in (0.0, 17e-6):
-        ctl = DerivativeController(ControllerConfig(enable_time=0.0))
+        ctl = DerivativeController(nominal_gain_matrix(), 0.0)
         outs.append(np.array([ctl.step(m + offset, i * TAU).as_array()
                               for i, m in enumerate(record)]))
     # identical up to the rounding of the offset subtraction itself
@@ -102,13 +115,13 @@ def test_controller_derivative_only_offset_invariance():
 
 
 def test_controller_saturation_orders():
-    cfg = ControllerConfig(enable_time=0.0, saturation=0.5, output_cutoff_hz=None)
-    ctl = DerivativeController(cfg)
+    cfg = ControllerConfig(saturation=0.5, output_cutoff_hz=None)
+    ctl = DerivativeController(nominal_gain_matrix(), 0.0, cfg)
     ctl.step([0, 0, 0], 0.0)
     u = ctl.step([10e-6, 0, 0], TAU)
     assert u.v_x == -0.5  # clamped
-    cfg2 = ControllerConfig(enable_time=0.0, saturation=0.5, clamp_before_filter=True)
-    ctl2 = DerivativeController(cfg2)
+    cfg2 = ControllerConfig(saturation=0.5, clamp_before_filter=True)
+    ctl2 = DerivativeController(nominal_gain_matrix(), 0.0, cfg2)
     ctl2.step([0, 0, 0], 0.0)
     u2 = ctl2.step([0, 0, 10e-6], TAU)
     alpha = LowPass(100.0, TAU).alpha
@@ -157,7 +170,7 @@ def run_direct_loop(trap, k, n=400, kick=SignalVector(dx_trap=-8e-6, dz_trap=-2.
                     w_offset=0.0, enable=0.020, x_cut=60.0, meas_sign=-1.0):
     """Plant + controller with ideal (noiseless) measurements of (x, z, w)."""
     g = nominal_transfer_matrix()
-    ctl = DerivativeController(ControllerConfig(k=k, enable_time=enable))
+    ctl = DerivativeController(k, enable)
     lp_x = LowPass(x_cut, TAU)
     lp_w = LowPass(100.0, TAU)
     state = equilibrium_state(trap)
