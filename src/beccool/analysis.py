@@ -5,10 +5,16 @@ model fitting, and ensemble statistics."""
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constants import HBAR, RB87_MASS
 from .optics import PhaseParams, fresnel_image, tf_phase
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first fit, so processes
+    that only run loops never pay the solver's start-up time and memory."""
+    from scipy.optimize import least_squares as solve
+    return solve(*args, **kwargs)
 
 
 def a_ho(omega, mass=RB87_MASS, hbar=HBAR):

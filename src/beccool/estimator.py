@@ -51,6 +51,12 @@ class EstimatorConfig:
     # mass are declared degenerate: hold the last measurement and flag it
     degenerate_mass_fraction: float = 1e-4
 
+    def __post_init__(self):
+        for name in ("x_cutoff_hz", "w_cutoff_hz"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+
 
 @dataclass
 class RegionMask:
@@ -126,8 +132,8 @@ def extract_moments(rho6, mask, grid):
         raise ValueError("filtered density has no mass in the atom region")
     x1 = (w * grid.xx).sum() / mass
     z1 = (w * grid.zz).sum() / mass
-    x2 = (w * grid.xx**2).sum() / mass
-    z2 = (w * grid.zz**2).sum() / mass
+    x2 = (w * grid.xx_sq).sum() / mass
+    z2 = (w * grid.zz_sq).sum() / mass
     w_x = np.sqrt(max(x2 - x1**2, 0.0))
     w_z = np.sqrt(max(z2 - z1**2, 0.0))
     return float(x1), float(z1), float(w_x), float(w_z), float(mass)

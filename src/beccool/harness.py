@@ -75,6 +75,10 @@ class LoopConfig:
     def __post_init__(self):
         if self.render_model not in ("linear", "fresnel"):
             raise ValueError(f"unknown render model {self.render_model!r}")
+        if not self.sample_period > 0:
+            raise ValueError(f"sample_period must be positive, got {self.sample_period!r}")
+        if not self.delay >= 0:
+            raise ValueError(f"delay must be >= 0, got {self.delay!r}")
 
 
 @dataclass
@@ -92,6 +96,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.gain_mode not in ("nominal", "calibrated"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+        if self.phase.r_x != PhaseParams.r_x:
+            raise ValueError(
+                f"phase.r_x has no effect (got {self.phase.r_x!r}, not the default "
+                f"{PhaseParams.r_x!r}): the cloud's x radius is the plant width, set at rest "
+                "by trap.w_eq0 (file key trap.w_eq0_m)")
 
     def gain_matrix(self, g):
         """The gain matrix K implied by gain_mode.
@@ -572,28 +581,28 @@ def config_from_flat(flat):
     """(ExperimentConfig, Scenario or None) from flat key -> text values.
 
     Absent keys keep the dataclass defaults; a Scenario is built only when
-    some scenario.* key is present.  Unknown keys are rejected, and a value
-    that does not parse raises a ValueError naming its key.
+    some scenario.* key is present.  Unknown keys are rejected.  Keys apply
+    one at a time, so a value that does not parse, or that its dataclass
+    rejects, raises a ValueError naming its key (every dataclass rule checks
+    a single value).
     """
     unknown = sorted(set(flat) - _KEYS.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    config, scenario = ExperimentConfig(), Scenario()
-    updates = {}
+    config, scenario = ExperimentConfig(), None
     for key, text in flat.items():
         section, name, *codec = _KEYS[key]
+        obj = _section(config, scenario or Scenario(), section)
         try:
             if codec:
                 value = codec[0].decode(text)
             else:
-                obj = _section(config, scenario, section)
                 value = next(f.type for f in fields(obj) if f.name == name)(text)
+            obj = replace(obj, **{name: value})
+            if section == "scenario":
+                scenario = obj
+            else:
+                config = replace(config, **{section: obj}) if section else obj
         except (TypeError, ValueError) as exc:
             raise ValueError(f"config key {key}: {exc}") from exc
-        updates.setdefault(section, {})[name] = value
-    scenario_updates = updates.pop("scenario", None)
-    config = replace(config, **updates.pop("", {}),
-                     **{s: replace(getattr(config, s), **kw) for s, kw in updates.items()})
-    if scenario_updates is None:
-        return config, None
-    return config, replace(scenario, **scenario_updates)
+    return config, scenario

@@ -53,6 +53,15 @@ class GridSpec:
         return np.broadcast_to(self.z[:, None], (self.nz, self.nx))
 
     @cached_property
+    def xx_sq(self):
+        """x^2 at every pixel: the second-moment weight of the estimator."""
+        return self.xx**2
+
+    @cached_property
+    def zz_sq(self):
+        return self.zz**2
+
+    @cached_property
     def kx(self):
         """Angular spatial frequencies along x (rad/m), FFT ordering."""
         return 2 * np.pi * np.fft.fftfreq(self.nx, d=self.pitch)

@@ -17,6 +17,7 @@ from beccool import (
     LoopConfig,
     LowPass,
     NoiseConfig,
+    PhaseParams,
     Scenario,
     add_shot_noise,
     config_hash,
@@ -564,6 +565,51 @@ def test_cli_negative_output_stage_value_exits_2(tmp_path, capsys, command, key,
     assert payload["kind"] == "config" and name in payload["message"]
 
 
+# values their dataclass rejects: each must fail at load, naming its file key,
+# also in commands that build no loop
+_REJECTED_VALUES = [
+    ("estimator.x_cutoff_hz", "-1"),
+    ("loop.sample_period_s", "0"),
+    ("loop.delay_s", "-1"),
+    ("gains.saturation_volts", "-1"),
+    ("optics.r_x_m", "2e-05"),
+]
+
+
+@pytest.mark.parametrize("key, text", _REJECTED_VALUES)
+@pytest.mark.parametrize("command", [["run"], ["calibrate", "--what", "gains"]])
+def test_cli_rejected_config_value_names_key(tmp_path, monkeypatch, capsys, command, key, text):
+    monkeypatch.chdir(tmp_path)
+    cfgp = _write_quick_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + f"{key} = {text}\n")
+    assert cli.main(command + ["--config", str(cfgp)]) == 2
+    payload = _single_config_error(capsys)
+    assert payload["kind"] == "config"
+    assert payload["message"].startswith(f"config key {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_r_x_names_the_key_that_sets_the_cloud_width():
+    with pytest.raises(ValueError, match="trap.w_eq0_m"):
+        harness.config_from_flat({"optics.r_x_m": "17.31e-6"})
+    with pytest.raises(ValueError, match="trap.w_eq0_m"):
+        ExperimentConfig(phase=PhaseParams(r_x=2e-5))
+    config, _ = harness.config_from_flat({"optics.r_x_m": repr(PhaseParams.r_x)})
+    assert config == ExperimentConfig()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: harness.EstimatorConfig(x_cutoff_hz=0.0),
+    lambda: harness.EstimatorConfig(w_cutoff_hz=-100.0),
+    lambda: LoopConfig(sample_period=0.0),
+    lambda: LoopConfig(sample_period=float("nan")),
+    lambda: LoopConfig(delay=-1e-6),
+])
+def test_loop_timing_and_filter_rules_hold_in_the_dataclasses(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 @pytest.mark.parametrize("n_frames", [-1, 0, 1])
 def test_measure_pipeline_noise_needs_two_frames(n_frames):
     with pytest.raises(ValueError, match="at least 2 frames"):
@@ -647,11 +693,13 @@ _CHOICES = {
     "scenario.kind": ["dipole_kick", "quadrupole_drive", "quiet"],
     "optics.nx": [2, 64, 128, 1024],
     "optics.nz": [2, 32, 128],
+    "optics.r_x_m": [PhaseParams.r_x],  # any other value has no effect and is rejected
 }
 # fields the dataclasses require to be non-negative, some strictly: drawn positive
 _NON_NEGATIVE = {"trap.f_x_hz", "trap.f_y_hz", "trap.f_z_hz", "trap.w_eq0_m",
                  "trap.width_damping_hz", "optics.pitch_m", "optics.eta_m",
-                 "optics.wavelength_m", "optics.r_x_m", "optics.r_z_m",
+                 "optics.wavelength_m", "optics.r_z_m", "estimator.x_cutoff_hz",
+                 "estimator.w_cutoff_hz", "loop.sample_period_s", "loop.delay_s",
                  "scenario.enable_time_s", "scenario.kick_time_s", "scenario.duration_s",
                  "scenario.hold_s"}
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
