@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 from .constants import SAMPLE_PERIOD
 from .optics import ImageGrid
@@ -106,9 +105,14 @@ def density_estimate(frame, reference, mask):
     if np.any(reference.data <= 0):
         raise ValueError("reference frame must be strictly positive")
     grid = frame.grid
-    current = frame.data / reference.data - 1.0
-    spec = sfft.rfft2(current)
-    rho = sfft.irfft2(spec * grid.inv_k_sq_half, s=(grid.nz, grid.nx))
+    current = frame.data / reference.data
+    current -= 1.0
+    # rfft2, the inverse Laplacian and irfft2, with the column passes in place
+    spec = np.fft.rfft(current, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)
+    spec *= grid.inv_k_sq_half
+    np.fft.ifft(spec, axis=0, out=spec)
+    rho = np.fft.irfft(spec, n=grid.nx, axis=1)
     rho -= rho[mask.background].mean()
     return ImageGrid(grid, rho)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import fft as sfft
 
 from .constants import RB87_D2_WAVELENGTH, TF_RADIUS_X
 
@@ -192,19 +191,21 @@ def _j2_over_x2(x):
     return out
 
 
-def _tf_spectrum_on(params, kx, kz):
+def _tf_spectrum_on(params, kx, kz, out=None):
     # 2D Fourier transform of the TF profile: 6 pi j2(kappa)/kappa^2 times
     # the ellipse area scale, with the center shift as a separable phase.
     # The amplitude is even in kz and kz is in fftfreq order, whose rows
     # nz-j hold the exact negatives of rows j: evaluate rows 0..nz/2 only
-    # and mirror rows 1..nz/2-1 onto nz-1..nz/2+1.
+    # and mirror rows 1..nz/2-1 onto nz-1..nz/2+1.  With ``out`` (complex,
+    # (kz.size, kx.size)) the shift and the spectrum are written into it.
     half = kz.size // 2 + 1
     kap = np.sqrt((kx[None, :] * params.r_x) ** 2 + (kz[:half, None] * params.r_z) ** 2)
     amp = np.empty((kz.size, kx.size))
     amp[:half] = params.phi0 * params.r_x * params.r_z * 6.0 * np.pi * _j2_over_x2(kap)
     amp[half:] = amp[half - 2:0:-1]
-    shift = np.exp(-1j * kx[None, :] * params.x0) * np.exp(-1j * kz[:, None] * params.z0)
-    return amp * shift
+    shift = np.multiply(np.exp(-1j * kx[None, :] * params.x0),
+                        np.exp(-1j * kz[:, None] * params.z0), out=out)
+    return np.multiply(amp, shift, out=shift)
 
 
 def tf_phase_spectrum(params, grid):
@@ -214,7 +215,7 @@ def tf_phase_spectrum(params, grid):
 
 def phase_from_spectrum(spec, grid):
     """Band-limited real-space phase from a continuous-FT sample (centered)."""
-    return ImageGrid(grid, np.fft.fftshift(sfft.ifft2(spec).real) / grid.pitch**2)
+    return ImageGrid(grid, np.fft.fftshift(np.fft.ifftn(spec, axes=(1, 0)).real) / grid.pitch**2)
 
 
 def fresnel_image(phase, opt):
@@ -227,19 +228,28 @@ def fresnel_image(phase, opt):
     grid = phase.grid
     if not (_is_pow2(grid.nx) and _is_pow2(grid.nz)):
         raise ValueError("spectral propagation needs power-of-two grids")
+    # kernel times an unnamed temporary spectrum F: from 256 KiB numpy
+    # multiplies into the temporary (F * kernel), below that it computes
+    # kernel * F.  Complex products are not bit-symmetric, so keep this form;
+    # naming F, or multiplying into it by hand, changes the last bits.
+    kernel = _fresnel_kernel(grid.nx, grid.nz, grid.pitch, opt.eta, opt.xi, opt.k)
+    field = kernel * _unit_field_spectrum(phase.data)
+    np.fft.ifftn(field, axes=(1, 0), out=field)
+    intensity = np.abs(field)
+    return ImageGrid(grid, np.square(intensity, out=intensity))
+
+
+def _unit_field_spectrum(data):
+    """2-D FFT of the unit-amplitude field exp(-i data), computed in the array
+    it returns; fftn over axes (1, 0) runs in scipy.fft's fft2 order."""
     # exp(-i phi) is exponentiated only where phi != 0; elsewhere it is the
     # constant exp(-i 0) of the same dtype.  A -0.0 pixel so gets +0.0's value,
     # which differs only in the sign of a zero imaginary part: the FFTs carry
     # that as a zero's sign alone and |field|^2 drops it.
-    data = phase.data
     lit = data != 0
     field = np.full(data.shape, np.exp(-1j * data.dtype.type(0)))
     field[lit] = np.exp(-1j * data[lit])
-    # a named kernel lets numpy multiply into the FFT's temporary (F * kernel);
-    # complex products are not bit-symmetric, so keep this form
-    kernel = _fresnel_kernel(grid.nx, grid.nz, grid.pitch, opt.eta, opt.xi, opt.k)
-    field = sfft.ifft2(kernel * sfft.fft2(field))
-    return ImageGrid(grid, np.abs(field) ** 2)
+    return np.fft.fftn(field, axes=(1, 0), out=field)
 
 
 _KERNEL_CACHE_SIZE = 2  # a run uses one kernel; a defocus fit, two per step
@@ -288,7 +298,7 @@ def linearized_image(phase, opt):
     eigenfunctions and the frame mean stays exactly 1.
     """
     grid = phase.grid
-    lap = sfft.irfft2(-grid.k_sq_half * sfft.rfft2(phase.data), s=(grid.nz, grid.nx))
+    lap = np.fft.irfft2(-grid.k_sq_half * np.fft.rfft2(phase.data), s=(grid.nz, grid.nx))
     return ImageGrid(grid, 1.0 - opt.xi / opt.k * lap)
 
 
@@ -296,7 +306,7 @@ def apply_resolution(field, opt):
     """Gaussian-pupil blur exp(-eta^2 k^2) applied in the Fourier domain."""
     grid = field.grid
     ker = np.exp(-opt.eta**2 * grid.k_sq_half)
-    return ImageGrid(grid, sfft.irfft2(ker * sfft.rfft2(field.data), s=(grid.nz, grid.nx)))
+    return ImageGrid(grid, np.fft.irfft2(ker * np.fft.rfft2(field.data), s=(grid.nz, grid.nx)))
 
 
 class FrameRenderer:
@@ -310,21 +320,34 @@ class FrameRenderer:
 
     This equals linearized_image(resolution-blurred phase) but without the
     pixel-sampling aliasing a pointwise phase evaluation would introduce.
+
+    ``render`` transforms in two work buffers of the renderer, so a frame
+    allocates no spectrum; each returned frame is still a fresh array.  The
+    buffers make one renderer single-threaded: ``harness._camera`` builds one
+    per run, so threaded ensembles stay safe.
     """
 
     def __init__(self, grid, opt):
         self.grid = grid
         self.opt = opt
         k_sq = grid.k_sq_half
-        self._resp = (opt.xi / opt.k) * k_sq * np.exp(-opt.eta**2 * k_sq) / grid.pitch**2
+        # complex, so the product with the spectrum needs no cast buffer
+        self._resp = ((opt.xi / opt.k) * k_sq * np.exp(-opt.eta**2 * k_sq)
+                      / grid.pitch**2).astype(complex)
+        self._spec = np.empty(k_sq.shape, complex)
+        self._lap = np.empty((grid.nz, grid.nx))
 
     def phase_spectrum(self, params):
         return _tf_spectrum_on(params, self.grid.kx_half, self.grid.kz)
 
     def render(self, params):
-        spec = self._resp * self.phase_spectrum(params)
-        lap = sfft.irfft2(spec, s=(self.grid.nz, self.grid.nx))
-        return ImageGrid(self.grid, 1.0 + np.fft.fftshift(lap))
+        spec = _tf_spectrum_on(params, self.grid.kx_half, self.grid.kz, out=self._spec)
+        np.multiply(self._resp, spec, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        lap = np.fft.irfft(spec, n=self.grid.nx, axis=1, out=self._lap)
+        frame = np.fft.fftshift(lap)
+        frame += 1.0
+        return ImageGrid(self.grid, frame)
 
     def render_fresnel(self, params):
         """Full-model render (pointwise phase + Fresnel kernel), for fidelity runs."""
@@ -353,8 +376,12 @@ def add_shot_noise(image, photons_per_pixel, rng):
     """Gaussian photon shot noise: mean I, standard deviation sqrt(I/N)."""
     if photons_per_pixel <= 0:
         raise ValueError("photon budget must be positive")
-    sigma = np.sqrt(np.abs(image.data) / photons_per_pixel)
-    return ImageGrid(image.grid, image.data + sigma * rng.standard_normal(image.data.shape))
+    noisy = np.abs(image.data)  # one array: |I|/N, sigma, sigma * draw, then + I
+    noisy /= photons_per_pixel
+    np.sqrt(noisy, out=noisy)
+    noisy *= rng.standard_normal(noisy.shape)
+    noisy += image.data
+    return ImageGrid(image.grid, noisy)
 
 
 def write_ascii_grid(image, path):

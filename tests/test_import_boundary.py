@@ -1,7 +1,8 @@
-"""The least-squares solver loads with the first fit, not with the package.
+"""Loop processes load no scipy; the least-squares solver loads with the first fit.
 
-Loop processes (runs, ensembles, their workers) never fit, so `import beccool`
-and the loop itself must leave `scipy.optimize` unloaded.
+Loop processes (runs, ensembles, their workers) never fit, and the loop's FFTs
+are numpy's, so `import beccool` and the loop itself must leave every `scipy`
+module unloaded.
 """
 
 import os
@@ -28,6 +29,18 @@ assert "scipy.optimize" in sys.modules
 print(repr(result))
 """
 
+_LOOP_CHILD = """
+import sys
+import beccool
+from beccool import ExperimentConfig, LoopConfig, Scenario, run_experiment
+
+quiet = Scenario(kind="quiet", feedback=False, duration=1e-3)
+for model in ("linear", "fresnel"):
+    record = run_experiment(quiet, ExperimentConfig(loop=LoopConfig(render_model=model)))
+    assert len(record) == 1
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
 
 def fit_once():
     """One capped fit of a small noiseless Fresnel frame."""
@@ -45,3 +58,12 @@ def test_solver_loads_on_first_fit_not_on_import():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr(fit_once())
+
+
+def test_loop_samples_load_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beccool.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _LOOP_CHILD],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

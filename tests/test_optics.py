@@ -11,8 +11,10 @@ from beccool import (
     ImageGrid,
     OpticsParams,
     PhaseParams,
+    RegionMask,
     add_shot_noise,
     apply_resolution,
+    density_estimate,
     fresnel_image,
     linearized_image,
     make_reference,
@@ -339,6 +341,90 @@ def test_fresnel_image_matches_uncached_formula(cloud, xi, eta, wavelength, dens
         phase = ImageGrid(grid, phase.data + band_limited_phase(grid, params, 2e5).data + 1e-3)
     got = fresnel_image(phase, opt).data
     assert got.tobytes() == _fresnel_image_uncached(phase, opt).tobytes()
+
+
+# --- the loop's in-place transforms equal the allocating scipy.fft ----------
+# --- formulas byte for byte -------------------------------------------------
+
+# (nx, nz): tiny grids where numpy never elides a temporary, the loop's grid,
+# and one whose half spectrum (128 x 129 complex) passes numpy's 256 KiB
+# temporary-elision threshold
+_loop_grids = st.builds(lambda shape, pitch: GridSpec(nx=shape[0], nz=shape[1], pitch=pitch),
+                        st.sampled_from([(8, 4), (4, 16), (128, 128), (256, 128)]),
+                        st.sampled_from([5.5e-6, 3.3e-6, 1e-5]))
+
+
+def _render_allocating(grid, opt, params):
+    resp = (opt.xi / opt.k) * grid.k_sq_half * np.exp(-opt.eta**2 * grid.k_sq_half) / grid.pitch**2
+    spec = resp * _tf_spectrum_unmirrored(params, grid.kx_half, grid.kz)
+    return 1.0 + np.fft.fftshift(sfft.irfft2(spec, s=(grid.nz, grid.nx)))
+
+
+def _density_allocating(frame, reference, mask):
+    grid = frame.grid
+    current = frame.data / reference.data - 1.0
+    spec = sfft.rfft2(current)
+    rho = sfft.irfft2(spec * grid.inv_k_sq_half, s=(grid.nz, grid.nx))
+    rho -= rho[mask.background].mean()
+    return rho
+
+
+def _shot_noise_allocating(image, photons, rng):
+    sigma = np.sqrt(np.abs(image.data) / photons)
+    return image.data + sigma * rng.standard_normal(image.data.shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=_loop_grids, phi0=st.floats(-3.0, 3.0), r_x=_log_radius, r_z=_log_radius,
+       x0=_centre, z0=_centre, xi=_defocus, eta=st.floats(0.0, 12e-6),
+       wavelength=st.floats(400e-9, 1100e-9))
+def test_frame_renderer_matches_allocating_formula(grid, phi0, r_x, r_z, x0, z0, xi, eta,
+                                                    wavelength):
+    opt = OpticsParams(xi=xi, eta=eta, wavelength=wavelength)
+    params = PhaseParams(phi0=phi0, r_x=r_x, r_z=r_z, x0=x0, z0=z0)
+    renderer = FrameRenderer(grid, opt)
+    want = _render_allocating(grid, opt, params).tobytes()
+    assert renderer.render(params).data.tobytes() == want
+    assert renderer.render(params).data.tobytes() == want  # the buffers keep no state
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=_loop_grids, seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-12.0, 0.0).map(lambda e: 10.0**e), photons=st.floats(1.0, 1e12))
+def test_density_and_shot_noise_match_allocating_formulas(grid, seed, scale, photons):
+    rng = np.random.default_rng(seed)
+    reference = ImageGrid(grid, rng.uniform(0.5, 1.5, (grid.nz, grid.nx)))
+    current = scale * rng.standard_normal(reference.data.shape)
+    frame = ImageGrid(grid, reference.data * (1.0 + current))
+    atoms = np.zeros((grid.nz, grid.nx), dtype=bool)
+    atoms[grid.nz // 2, grid.nx // 2] = True
+    background = np.zeros_like(atoms)
+    background[0] = True
+    mask = RegionMask(atoms=atoms, background=background)
+    got = density_estimate(frame, reference, mask).data
+    assert got.tobytes() == _density_allocating(frame, reference, mask).tobytes()
+    noisy = add_shot_noise(frame, photons, np.random.default_rng(seed)).data
+    want = _shot_noise_allocating(frame, photons, np.random.default_rng(seed))
+    assert noisy.tobytes() == want.tobytes()
+
+
+def test_successive_renders_are_distinct_and_unmodified(grid, optics):
+    renderer = FrameRenderer(grid, optics)
+    a, b = PhaseParams(), PhaseParams(phi0=-0.3, r_x=2e-5, x0=4e-6, z0=-2e-6)
+    first = renderer.render(a)
+    kept = first.data.copy()
+    second = renderer.render(b)
+    assert first.data.tobytes() == kept.tobytes()
+    first.data *= 2.0  # the loop scales each frame by the reference in place
+    third = renderer.render(a)
+    frames = (first, second, third)
+    for i, frame in enumerate(frames):
+        assert not np.shares_memory(frame.data, renderer._spec)
+        assert not np.shares_memory(frame.data, renderer._lap)
+        for other in frames[i + 1:]:
+            assert not np.shares_memory(frame.data, other.data)
+    assert second.data.tobytes() == FrameRenderer(grid, optics).render(b).data.tobytes()
+    assert third.data.tobytes() == kept.tobytes()
 
 
 def test_fresnel_kernel_cache_is_never_stale():
