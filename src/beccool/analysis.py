@@ -17,9 +17,9 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def a_ho(omega, mass=RB87_MASS, hbar=HBAR):
-    """Harmonic oscillator length sqrt(hbar/(m omega))."""
-    return np.sqrt(hbar / (mass * omega))
+def a_ho(omega):
+    """Harmonic oscillator length sqrt(hbar/(m omega)) of 87Rb."""
+    return np.sqrt(HBAR / (RB87_MASS * omega))
 
 
 @dataclass
@@ -35,7 +35,7 @@ class PhononEstimate:
         return max(self.n_true, 0.0)
 
 
-def phonon_occupancy(r, omega, tau, r_trap=None, mass=RB87_MASS, hbar=HBAR):
+def phonon_occupancy(r, omega, tau, r_trap=None):
     """Measured phonon occupancy from the trailing oscillation period.
 
     Velocities come from per-sample finite differences of the raw position
@@ -61,7 +61,7 @@ def phonon_occupancy(r, omega, tau, r_trap=None, mass=RB87_MASS, hbar=HBAR):
         raise ValueError(f"need at least {window + 1} samples, got {r.size}")
     vel = np.diff(r[-(window + 1):]) / tau
     pos = rel[-window:]
-    aho_sq = hbar / (mass * omega)
+    aho_sq = HBAR / (RB87_MASS * omega)
     return float(pos.var() / (2 * aho_sq) + vel.var() / (2 * aho_sq * omega**2))
 
 
@@ -84,11 +84,10 @@ def sigma_from_bias(bias, omega, tau, aho):
     return np.sqrt(2 * aho**2 * bias / (1.0 + 2.0 / (omega**2 * tau**2)))
 
 
-def estimate_mode(mode, r, omega, tau, sigma_r=0.0, r_trap=None,
-                  mass=RB87_MASS, hbar=HBAR):
+def estimate_mode(mode, r, omega, tau, sigma_r=0.0, r_trap=None):
     """Full occupancy record for one mode: measured, corrected, and scales."""
-    n_meas = phonon_occupancy(r, omega, tau, r_trap=r_trap, mass=mass, hbar=hbar)
-    aho = a_ho(omega, mass, hbar)
+    n_meas = phonon_occupancy(r, omega, tau, r_trap=r_trap)
+    aho = a_ho(omega)
     return PhononEstimate(
         mode=mode,
         n_meas=n_meas,
@@ -98,7 +97,7 @@ def estimate_mode(mode, r, omega, tau, sigma_r=0.0, r_trap=None,
     )
 
 
-def tof_variance(energy, omega, t_tof, mass=RB87_MASS):
+def tof_variance(energy, omega, t_tof):
     """Ballistic position variance after release, for an equipartitioned mode.
 
     Var(x) = E/(m omega^2) and Var(v) = E/m at release, so after a free flight
@@ -106,12 +105,12 @@ def tof_variance(energy, omega, t_tof, mass=RB87_MASS):
     """
     if energy < 0:
         raise ValueError("energy must be >= 0")
-    return energy / (mass * omega**2) * (1.0 + (omega * t_tof) ** 2)
+    return energy / (RB87_MASS * omega**2) * (1.0 + (omega * t_tof) ** 2)
 
 
-def ballistic_ensemble(energy, omega, t_tof, n_samples, rng, mass=RB87_MASS):
+def ballistic_ensemble(energy, omega, t_tof, n_samples, rng):
     """Random-phase oscillators released and propagated; returns x(t_tof) samples."""
-    amp = np.sqrt(2 * energy / mass) / omega
+    amp = np.sqrt(2 * energy / RB87_MASS) / omega
     phase = rng.uniform(0, 2 * np.pi, n_samples)
     x0 = amp * np.cos(phase)
     v0 = -amp * omega * np.sin(phase)

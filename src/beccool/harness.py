@@ -64,6 +64,12 @@ class NoiseConfig:
     process_velocity_std: float = 0.0  # m/s per sample, optional mode heating
     g_drift_scale: float = 0.0         # per-run multiplicative jitter on G
 
+    def __post_init__(self):
+        for name in ("photons_per_pixel", "offline_sigma", "process_velocity_std",
+                     "g_drift_scale"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+
 
 @dataclass
 class LoopConfig:
@@ -96,11 +102,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.gain_mode not in ("nominal", "calibrated"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
-        if self.phase.r_x != PhaseParams.r_x:
-            raise ValueError(
-                f"phase.r_x has no effect (got {self.phase.r_x!r}, not the default "
-                f"{PhaseParams.r_x!r}): the cloud's x radius is the plant width, set at rest "
-                "by trap.w_eq0 (file key trap.w_eq0_m)")
+        for name in ("r_x", "x0", "z0"):
+            value, default = getattr(self.phase, name), getattr(PhaseParams, name)
+            if value != default:
+                raise ValueError(
+                    f"phase.{name} has no effect (got {value!r}, not the default "
+                    f"{default!r}): the camera takes the cloud's x radius and centre from "
+                    "the plant, whose width at rest is trap.w_eq0 (file key trap.w_eq0_m)")
 
     def gain_matrix(self, g):
         """The gain matrix K implied by gain_mode.
@@ -268,7 +276,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
         s_total = state.trap + actuator_to_signal(held, g)
         row = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
-               trap.x_trap0 + s_total.dx_trap, trap.z_trap0 + s_total.dz_trap,
+               s_total.dx_trap, s_total.dz_trap,
                s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
                m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
                u.v_x, u.v_z, u.v_64, u.v_90, float(m.degenerate))
@@ -338,8 +346,7 @@ def summarize_run(record, config=None):
             r += sig * rng.standard_normal(r.size)
         est = analysis.estimate_mode(
             mode, r, omega, tau, sigma_r=sig,
-            r_trap=record.column(trap_col) if trap_col else None,
-            mass=trap.atom_mass, hbar=trap.hbar)
+            r_trap=record.column(trap_col) if trap_col else None)
         out[f"n_{mode}_meas"] = est.n_meas
         out[f"n_{mode}_true"] = float(est.n_true)
     return out
@@ -412,8 +419,8 @@ def write_summary_json(summary, path):
 
 
 def write_summary_csv(summaries, path):
-    keys = ["seed", "feedback", "n_x_meas", "n_x_true", "n_z_meas", "n_z_true",
-            "n_w_meas", "n_w_true"]
+    """One row per ``summarize_run`` result, its keys in order as the header."""
+    keys = list(summaries[0])
     with open(path, "w") as f:
         f.write(",".join(keys) + "\n")
         for s in summaries:

@@ -286,7 +286,6 @@ def _k_sq_levels(nx, nz, pitch):
     """Sorted distinct values of GridSpec(nx, nz, pitch).k_sq and the (nz, nx)
     index array that gathers them back onto the grid."""
     levels, inv = np.unique(GridSpec(nx, nz, pitch).k_sq, return_inverse=True)
-    inv = inv.reshape(nz, nx)  # numpy < 2 returns it flat
     levels.flags.writeable = inv.flags.writeable = False
     return levels, inv
 

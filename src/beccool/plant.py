@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import HBAR, RB87_MASS, SAMPLE_PERIOD, TF_RADIUS_X
+from .constants import RB87_MASS, SAMPLE_PERIOD, TF_RADIUS_X
 
 # Low-lying axial quadrupole of a prolate trap oscillates at sqrt(5/2) * omega_x.
 QUADRUPOLE_RATIO = float(np.sqrt(2.5))
@@ -30,20 +30,18 @@ G_W90 = (2 * np.pi * 19.9) ** 2
 
 @dataclass
 class TrapConfig:
-    """Static trap and atom parameters.
+    """Static trap parameters.
 
     Frequencies are in Hz; ``w_eq0`` is the equilibrium axial half-width of
     the condensate (Thomas-Fermi radius along x).  The vertical-direction
     (y) frequency is carried for completeness but no y dynamics are modeled.
+    The unshifted trap centre is the origin, and the atoms are 87Rb
+    (``constants.RB87_MASS``).
     """
 
     f_x: float = 20.3
     f_y: float = 85.6
     f_z: float = 70.3
-    x_trap0: float = 0.0
-    z_trap0: float = 0.0
-    atom_mass: float = RB87_MASS
-    hbar: float = HBAR
     w_eq0: float = TF_RADIUS_X
     width_damping: float = 0.0  # 1/s, exponential amplitude decay of the width mode
 
@@ -176,7 +174,7 @@ class PlantState:
 def equilibrium_state(cfg):
     """State at rest at the unperturbed trap equilibrium, at t = 0."""
     return PlantState(
-        x=cfg.x_trap0, vx=0.0, z=cfg.z_trap0, vz=0.0, w=cfg.w_eq0, vw=0.0,
+        x=0.0, vx=0.0, z=0.0, vz=0.0, w=cfg.w_eq0, vw=0.0,
         trap=SignalVector(), t=0.0,
     )
 
@@ -232,8 +230,8 @@ def step(state, s, dt, cfg):
     omega_x = np.sqrt(wx_sq)
     omega_q = QUADRUPOLE_RATIO * omega_x
 
-    x, vx = _rotate(state.x, state.vx, cfg.x_trap0 + s.dx_trap, omega_x, dt)
-    z, vz = _rotate(state.z, state.vz, cfg.z_trap0 + s.dz_trap, cfg.omega_z, dt)
+    x, vx = _rotate(state.x, state.vx, s.dx_trap, omega_x, dt)
+    z, vz = _rotate(state.z, state.vz, s.dz_trap, cfg.omega_z, dt)
     w, vw = _rotate_damped(
         state.w, state.vw, width_equilibrium(cfg, s.domega_x_sq), omega_q,
         cfg.width_damping, dt,
@@ -247,20 +245,17 @@ def dipole_kick(state, kick):
     return replace(state, trap=state.trap + kick)
 
 
-def mode_energies(state, cfg, s=None):
-    """Per-mode energies about the equilibria implied by offsets ``s``.
+def mode_energies(state, cfg):
+    """Per-mode energies about the equilibria implied by the state's trap offsets.
 
-    Defaults to the state's own trap offsets (open-loop bookkeeping).  Energy
-    is (1/2) m omega^2 (r - r_eq)^2 + (1/2) m v^2 for each mode.
+    Energy is (1/2) m omega^2 (r - r_eq)^2 + (1/2) m v^2 for each mode.
     """
-    if s is None:
-        s = state.trap
-    m = cfg.atom_mass
+    s = state.trap
+    m = RB87_MASS
     wx_sq = cfg.omega_x**2 + s.domega_x_sq
     omega_q_sq = QUADRUPOLE_RATIO**2 * wx_sq
-    e_x = 0.5 * m * wx_sq * (state.x - cfg.x_trap0 - s.dx_trap) ** 2 + 0.5 * m * state.vx**2
-    e_z = (0.5 * m * cfg.omega_z**2 * (state.z - cfg.z_trap0 - s.dz_trap) ** 2
-           + 0.5 * m * state.vz**2)
+    e_x = 0.5 * m * wx_sq * (state.x - s.dx_trap) ** 2 + 0.5 * m * state.vx**2
+    e_z = 0.5 * m * cfg.omega_z**2 * (state.z - s.dz_trap) ** 2 + 0.5 * m * state.vz**2
     e_w = (0.5 * m * omega_q_sq * (state.w - width_equilibrium(cfg, s.domega_x_sq)) ** 2
            + 0.5 * m * state.vw**2)
     return {"x": e_x, "z": e_z, "w": e_w}

@@ -4,8 +4,9 @@ single PASS/FAIL line (bypassing capture) with the measured numbers.
 Criterion 6a (nominal-gain settling to <10 % of an 8 um kick within 15 ms of
 feedback enable) is strictly expected to fail: the sampled loop with the
 documented gains, filters and one-sample latency tops out at an envelope
-decay of ~82 /s, which leaves ~24 % at +15 ms and crosses 10 % near +30 ms.
-The assertion is kept at the stated tolerance; see notes/decisions.md.
+decay of ~82 /s, which leaves ~26 % at +15 ms and crosses 10 % near +30 ms.
+The assertion is kept at the stated tolerance; README.md ("Install and
+test") states the analysis.
 """
 
 import json
@@ -42,7 +43,7 @@ from beccool import (
     tf_phase,
     tof_variance,
 )
-from beccool.constants import HBAR
+from beccool.constants import HBAR, RB87_MASS
 from beccool.estimator import RegionMask
 from conftest import band_limited_phase
 
@@ -138,7 +139,7 @@ def test_criterion_05_open_loop_energy_conservation(trap, report):
                   kick_dx=-4e-6, kick_dz=2e-6, kick_domega_frac=0.05,
                   duration=0.151, seed=0)
     rec = run_experiment(sc, NOISELESS)
-    m = trap.atom_mass
+    m = RB87_MASS
     worst = 0.0
     wx_sq = rec.column("domega_x_sq")[1:] + trap.omega_x**2
     for r, v, c, w_sq in (

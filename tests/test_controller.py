@@ -186,12 +186,12 @@ def run_direct_loop(trap, k, n=400, kick=SignalVector(dx_trap=-8e-6, dz_trap=-2.
         u = ctl.step(meas_sign * m, t)
         u_arr = u.as_array()
         s = state.trap + SignalVector.from_array(g @ held)
-        e = mode_energies(state, trap, s=state.trap)
+        e = mode_energies(state, trap)
         for mode in amps:
             energies[mode].append(e[mode])
-        amps["x"].append(np.hypot(state.x - trap.x_trap0 - state.trap.dx_trap,
+        amps["x"].append(np.hypot(state.x - state.trap.dx_trap,
                                   state.vx / trap.omega_x))
-        amps["z"].append(np.hypot(state.z - trap.z_trap0 - state.trap.dz_trap,
+        amps["z"].append(np.hypot(state.z - state.trap.dz_trap,
                                   state.vz / trap.omega_z))
         amps["w"].append(np.hypot(state.w - trap.w_eq0, state.vw / trap.omega_q))
         state = step(state, s, TAU, trap)

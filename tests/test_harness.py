@@ -18,18 +18,22 @@ from beccool import (
     LowPass,
     NoiseConfig,
     PhaseParams,
+    PlantState,
     Scenario,
+    SignalVector,
     add_shot_noise,
     config_hash,
     load_config,
     make_reference,
     measure_pipeline_noise,
+    mode_energies,
     monte_carlo,
     run_experiment,
     save_config,
     summarize_run,
 )
 from beccool import harness
+from beccool.constants import RB87_MASS
 from beccool.harness import RECORD_COLUMNS, RunRecord, write_summary_json
 
 QUICK = Scenario(kind="quiet", feedback=False, duration=0.05, seed=3)
@@ -50,7 +54,7 @@ def test_quiet_noiseless_energy_constant(trap):
                    kick_dx=-3e-6, kick_dz=1e-6, kick_domega_frac=0.02,
                    duration=0.15, seed=1)
     rec = run_experiment(sc2, NOISELESS)
-    m = trap.atom_mass
+    m = RB87_MASS
     for r_col, v_col, c_col, omega_sq in (
         ("x", "vx", "trap_x", None),
         ("z", "vz", "trap_z", trap.omega_z**2),
@@ -199,6 +203,26 @@ def test_quadrupole_drive_scenario_excites_width(trap):
     assert np.abs(rec.column("x")).max() < 1e-9
 
 
+def _records_equal(a, b):
+    return all(np.array_equal(a.column(c), b.column(c)) for c in RECORD_COLUMNS)
+
+
+def test_process_velocity_noise_heats_the_modes_reproducibly(trap):
+    # a quiet open-loop run rests at equilibrium; the per-sample velocity
+    # kicks of noise.process_velocity_std are its only energy source
+    heated = replace(NOISELESS, noise=replace(NOISELESS.noise, process_velocity_std=1e-6))
+    rec = run_experiment(QUICK, heated)
+    last = {c: rec.column(c)[-1] for c in RECORD_COLUMNS}
+    state = PlantState(x=last["x"], vx=last["vx"], z=last["z"], vz=last["vz"],
+                       w=last["w"], vw=last["vw"], t=last["t"],
+                       trap=SignalVector(last["trap_x"], last["trap_z"], last["domega_x_sq"]))
+    assert all(e > 0 for e in mode_energies(state, trap).values())
+    assert _records_equal(run_experiment(QUICK, heated), rec)
+    # the default 0 is the run without the key
+    config, _ = harness.config_from_flat({"noise.process_velocity_std": "0"})
+    assert _records_equal(run_experiment(QUICK, config), run_experiment(QUICK))
+
+
 def test_summarize_run_keys_and_determinism():
     rec = run_experiment(replace(QUICK, duration=0.08, seed=9), short_config())
     s1 = summarize_run(rec)
@@ -308,11 +332,9 @@ def test_readme_config_table_lists_every_key():
     assert keys == set(harness._KEYS)
 
 
-# trap and phase are left out: trap also holds physical constants (mass, hbar,
-# trap centre) that only the API sets, and the camera takes phase.r_x, x0 and
-# z0 from the plant state
-@pytest.mark.parametrize("section", ["controller", "estimator", "loop", "noise", "grid",
-                                     "optics"])
+# phase is left out: the camera takes phase.r_x, x0 and z0 from the plant state
+@pytest.mark.parametrize("section", ["trap", "controller", "estimator", "loop", "noise",
+                                     "grid", "optics"])
 def test_every_config_field_has_a_file_key(section):
     names = {f.name for f in fields(getattr(ExperimentConfig(), section))}
     assert names == {name for sec, name, *_ in harness._KEYS.values() if sec == section}
@@ -573,6 +595,10 @@ _REJECTED_VALUES = [
     ("loop.delay_s", "-1"),
     ("gains.saturation_volts", "-1"),
     ("optics.r_x_m", "2e-05"),
+    ("noise.photons_per_pixel", "-1"),
+    ("noise.offline_sigma_m", "-1"),
+    ("noise.process_velocity_std", "-1"),
+    ("noise.g_drift_scale", "-1"),
 ]
 
 
@@ -596,6 +622,11 @@ def test_config_r_x_names_the_key_that_sets_the_cloud_width():
         ExperimentConfig(phase=PhaseParams(r_x=2e-5))
     config, _ = harness.config_from_flat({"optics.r_x_m": repr(PhaseParams.r_x)})
     assert config == ExperimentConfig()
+    # the cloud's centre is the plant's too
+    with pytest.raises(ValueError, match="phase.x0 has no effect"):
+        ExperimentConfig(phase=PhaseParams(x0=5e-6))
+    with pytest.raises(ValueError, match="phase.z0 has no effect"):
+        ExperimentConfig(phase=PhaseParams(z0=-3e-6))
 
 
 @pytest.mark.parametrize("make", [
@@ -701,7 +732,8 @@ _NON_NEGATIVE = {"trap.f_x_hz", "trap.f_y_hz", "trap.f_z_hz", "trap.w_eq0_m",
                  "optics.wavelength_m", "optics.r_z_m", "estimator.x_cutoff_hz",
                  "estimator.w_cutoff_hz", "loop.sample_period_s", "loop.delay_s",
                  "scenario.enable_time_s", "scenario.kick_time_s", "scenario.duration_s",
-                 "scenario.hold_s"}
+                 "scenario.hold_s", "noise.photons_per_pixel", "noise.offline_sigma_m",
+                 "noise.process_velocity_std", "noise.g_drift_scale"}
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
