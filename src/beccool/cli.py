@@ -22,6 +22,19 @@ def _fail(code, kind, message):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so ``main`` reports them as one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _positive_int(text):
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def _load(args):
     """(config, scenario) from --config or the defaults, plus any overrides."""
     config, scenario = (harness.load_config(args.config) if args.config
@@ -114,8 +127,7 @@ def cmd_calibrate(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="beccool",
-                                description="closed-loop feedback-cooling simulator")
+    p = _Parser(prog="beccool", description="closed-loop feedback-cooling simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -133,7 +145,7 @@ def build_parser():
 
     sp = sub.add_parser("ensemble", help="seeded Monte-Carlo ensemble")
     common(sp)
-    sp.add_argument("--runs", type=int, default=200)
+    sp.add_argument("--runs", type=_positive_int, default=200)
     sp.add_argument("--parallel", action="store_true")
     sp.set_defaults(func=cmd_ensemble)
 
@@ -156,7 +168,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except argparse.ArgumentError as exc:
+        return _fail(2, "usage", str(exc))
+    except SystemExit as exc:  # --help
         return exc.code
     try:
         return args.func(args)

@@ -321,9 +321,7 @@ class FrameRenderer:
     pixel-sampling aliasing a pointwise phase evaluation would introduce.
 
     ``render`` transforms in two work buffers of the renderer, so a frame
-    allocates no spectrum; each returned frame is still a fresh array.  The
-    buffers make one renderer single-threaded: ``harness._camera`` builds one
-    per run, so threaded ensembles stay safe.
+    allocates no spectrum; each returned frame is still a fresh array.
     """
 
     def __init__(self, grid, opt):

@@ -312,6 +312,3 @@ class DelayLine:
         while self._queue and self._queue[0][0] <= t + 1e-12:
             due.append(self._queue.popleft()[1])
         return due
-
-    def __len__(self):
-        return len(self._queue)

@@ -62,27 +62,6 @@ def test_monte_carlo_calls_run_experiment_per_run(monkeypatch):
         assert samples == list(range(n_samples))
 
 
-def test_parallel_monte_carlo_calls_run_experiment_per_run(monkeypatch):
-    # perfbench's ensemble clock is installed on harness.run_experiment; the
-    # threaded ensemble must look that name up at call time too
-    original = harness.run_experiment
-    runs = []
-
-    def spy(scenario, config=None, collect_frames=None):
-        samples = []
-        record = original(scenario, config, collect_frames=lambda i, frame: samples.append(i))
-        runs.append((scenario.seed, len(record), samples))
-        return record
-
-    monkeypatch.setattr(harness, "run_experiment", spy)
-    sc = Scenario(kind="quiet", feedback=False, duration=0.06)
-    records, _, _ = harness.monte_carlo(sc, n_runs=3, base_seed=5, parallel=True,
-                                        keep_records=True)
-    assert sorted(seed for seed, _, _ in runs) == sorted(rec.seed for rec in records)
-    for _, n_samples, samples in runs:
-        assert samples == list(range(n_samples))
-
-
 def test_process_reaches_stages_through_module_names(monkeypatch):
     calls = []
     for name in ("density_estimate", "nonlinear_filter", "extract_moments"):

@@ -354,7 +354,7 @@ def test_monte_carlo_records_short_runs_as_failures(parallel):
     assert summary["stats"]["n_x_true"]["n"] == len(summaries)
 
 
-def test_serial_and_threaded_ensembles_identical_with_failures(tmp_path):
+def test_serial_and_parallel_ensembles_identical_with_failures(tmp_path):
     sc = Scenario(kind="quiet", feedback=False, duration=0.03, hold_random=(0.0, 0.05))
     out = {}
     for parallel in (False, True):
@@ -436,6 +436,33 @@ def test_cli_ensemble_and_analyze(tmp_path, capsys):
     assert (out2 / "analysis.json").exists()
 
 
+def test_cli_parallel_ensemble_matches_serial(tmp_path):
+    # the short-run ensemble, so failed runs are compared too
+    cfgp = _write_quick_config(tmp_path, duration=0.03, hold_random=(0.0, 0.05))
+    outputs = []
+    for flags in ([], ["--parallel"]):
+        out = tmp_path / f"ens{len(flags)}"
+        assert cli.main(["ensemble", "--config", str(cfgp), "--out", str(out),
+                         "--runs", "6", *flags]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("ensemble.json", "ensemble.csv")])
+    assert json.loads(outputs[0][0])["n_failed"] > 0
+    assert outputs[1] == outputs[0]
+
+
+def _die(scenario, config, seed):
+    os._exit(3)
+
+
+def test_cli_parallel_ensemble_dead_worker_exits_1(tmp_path, monkeypatch, capsys):
+    # spawn workers import this module by name to find _die, and die in it
+    monkeypatch.setattr(harness, "_ensemble_run", _die)
+    out = tmp_path / "ens"
+    assert cli.main(["ensemble", "--scenario", "quiet", "--runs", "2", "--parallel",
+                     "--out", str(out)]) == 1
+    assert _single_config_error(capsys)["kind"] == "runtime"
+    assert not (out / "ensemble.json").exists()
+
+
 def test_cli_calibrate_gains(capsys):
     assert cli.main(["calibrate", "--what", "gains"]) == 0
     out = capsys.readouterr().out
@@ -458,6 +485,33 @@ def _single_config_error(capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR ")
     return json.loads(lines[0].split(" ", 1)[1])
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus"],
+    ["run", "--scenario", "bogus"],
+    ["run", "--nope"],
+    ["ensemble", "--runs", "two"],
+    ["ensemble", "--runs", "-1"],
+    ["calibrate", "--frames", "x"],
+])
+def test_cli_usage_error_is_one_error_line(argv, capsys):
+    assert cli.main(argv) == 2
+    assert _single_config_error(capsys)["kind"] == "usage"
+
+
+def test_cli_ensemble_zero_runs_leaves_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "ens"
+    assert cli.main(["ensemble", "--runs", "0", "--out", str(out)]) == 2
+    assert _single_config_error(capsys)["kind"] == "usage"
+    assert not out.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["ensemble", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert "--parallel" in captured.out and captured.err == ""
 
 
 def test_cli_out_path_is_a_file_exits_2(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Loop processes load no scipy; the least-squares solver loads with the first fit.
+"""Loop processes load no scipy and no process pool; the least-squares solver
+loads with the first fit.
 
 Loop processes (runs, ensembles, their workers) never fit, and the loop's FFTs
 are numpy's, so `import beccool` and the loop itself must leave every `scipy`
-module unloaded.
+module unloaded.  They leave `concurrent.futures` and `multiprocessing`
+unloaded too: only `monte_carlo(parallel=True)` imports the pool.
 """
 
 import os
@@ -38,7 +40,8 @@ quiet = Scenario(kind="quiet", feedback=False, duration=1e-3)
 for model in ("linear", "fresnel"):
     record = run_experiment(quiet, ExperimentConfig(loop=LoopConfig(render_model=model)))
     assert len(record) == 1
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "multiprocessing") or m == "concurrent.futures"))
 """
 
 
