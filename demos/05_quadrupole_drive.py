@@ -21,8 +21,7 @@ print(f"quadrupole frequency: sqrt(5/2) x f_x = {trap.omega_q / 2 / np.pi:.1f} H
 print("\ndrive-frequency scan (4 periods, amplitude 0.02 omega_x^2):")
 amp = 0.02 * trap.omega_x**2
 for mult in (0.6, 0.8, 1.0, 1.2, 1.6, 10.0):
-    state, _ = quadrupole_drive(equilibrium_state(trap), amp,
-                                mult * trap.omega_q, 4, trap)
+    state = quadrupole_drive(equilibrium_state(trap), amp, mult * trap.omega_q, 4, trap)
     e = mode_energies(state, trap)["w"]
     print(f"  drive at {mult:4.1f} x omega_q -> width energy {e:.3e} J"
           f"  {'#' * max(1, int(40 * e / 2.2e-29))}")

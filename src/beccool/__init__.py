@@ -5,12 +5,10 @@ pipeline, derivative control, and phonon-occupancy accounting."""
 
 from .analysis import (
     FitResult,
-    PhononEstimate,
     a_ho,
     ballistic_ensemble,
     bias_correct,
     ensemble_stats,
-    estimate_mode,
     fit_shadowgraph,
     measurement_bias,
     phonon_occupancy,

@@ -22,19 +22,6 @@ def a_ho(omega):
     return np.sqrt(HBAR / (RB87_MASS * omega))
 
 
-@dataclass
-class PhononEstimate:
-    mode: str
-    n_meas: float
-    n_true: float
-    a_ho: float
-    window: float
-
-    def clamped(self):
-        """Reporting view: bias subtraction can leave slightly negative values."""
-        return max(self.n_true, 0.0)
-
-
 def phonon_occupancy(r, omega, tau, r_trap=None):
     """Measured phonon occupancy from the trailing oscillation period.
 
@@ -82,19 +69,6 @@ def bias_correct(n_meas, sigma_r, omega, tau, aho):
 def sigma_from_bias(bias, omega, tau, aho):
     """Invert the bias formula: the position-noise std implied by a bias."""
     return np.sqrt(2 * aho**2 * bias / (1.0 + 2.0 / (omega**2 * tau**2)))
-
-
-def estimate_mode(mode, r, omega, tau, sigma_r=0.0, r_trap=None):
-    """Full occupancy record for one mode: measured, corrected, and scales."""
-    n_meas = phonon_occupancy(r, omega, tau, r_trap=r_trap)
-    aho = a_ho(omega)
-    return PhononEstimate(
-        mode=mode,
-        n_meas=n_meas,
-        n_true=bias_correct(n_meas, sigma_r, omega, tau, aho),
-        a_ho=aho,
-        window=int(round(2 * np.pi / omega / tau)) * tau,
-    )
 
 
 def tof_variance(energy, omega, t_tof):

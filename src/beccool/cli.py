@@ -29,10 +29,13 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
-def _positive_int(text):
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"need a whole number >= 1, got {text!r}")
-    return int(text)
+def _whole_number(least):
+    """argparse type: a whole number >= ``least``."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"need a whole number >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _load(args):
@@ -132,7 +135,7 @@ def build_parser():
 
     def common(sp):
         sp.add_argument("--config", help="flat key=value config file")
-        sp.add_argument("--seed", type=int, help="override scenario seed")
+        sp.add_argument("--seed", type=_whole_number(0), help="override scenario seed")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--feedback", choices=["on", "off"])
         sp.add_argument("--scenario",
@@ -145,7 +148,7 @@ def build_parser():
 
     sp = sub.add_parser("ensemble", help="seeded Monte-Carlo ensemble")
     common(sp)
-    sp.add_argument("--runs", type=_positive_int, default=200)
+    sp.add_argument("--runs", type=_whole_number(1), default=harness.ENSEMBLE_RUNS)
     sp.add_argument("--parallel", action="store_true")
     sp.set_defaults(func=cmd_ensemble)
 
@@ -159,7 +162,7 @@ def build_parser():
     sp.add_argument("--what", choices=["gains", "noise"], default="gains")
     sp.add_argument("--config")
     sp.add_argument("--frames", type=int, default=harness.NOISE_PROBE_FRAMES)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_whole_number(0))
     sp.set_defaults(func=cmd_calibrate)
     return p
 

@@ -173,10 +173,10 @@ def finite_difference(m_i, m_prev):
 class InSituEstimator:
     """Stateful frame-to-measurement pipeline for one control loop."""
 
-    def __init__(self, grid, cfg=None, mask=None, sample_period=SAMPLE_PERIOD):
+    def __init__(self, grid, cfg=None, sample_period=SAMPLE_PERIOD):
         self.grid = grid
         self.cfg = cfg or EstimatorConfig()
-        self.mask = mask or RegionMask.centered(
+        self.mask = RegionMask.centered(
             grid, self.cfg.region_halfwidth_px, self.cfg.background_margin_frac
         )
         self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
@@ -195,13 +195,12 @@ class InSituEstimator:
     def process(self, frame, reference, t):
         """One frame through the whole pipeline; returns the feedback measurement."""
         rho = density_estimate(frame, reference, self.mask)
-        # the moments read only the atom region: filter a contiguous copy of
-        # its bounding box (the same pow loop as on a whole frame) and leave
-        # every other pixel zero, as np.where(atoms, rho**6, 0) would
+        # the moments read only the atom region, a rectangle: filter a
+        # contiguous copy of it (the same pow loop as on a whole frame) and
+        # leave every other pixel zero, as np.where(atoms, rho**6, 0) would
         box = self.mask.atom_box
         rho6 = np.zeros_like(rho.data)
-        rho6[box] = np.where(self.mask.atoms[box],
-                             nonlinear_filter(np.ascontiguousarray(rho.data[box])), 0.0)
+        rho6[box] = nonlinear_filter(np.ascontiguousarray(rho.data[box]))
         mass = rho6.sum()
         if self._mass_ref is None:
             self._mass_ref = mass

@@ -48,6 +48,7 @@ from .plant import (
 
 LOOP_DELAY = 960e-6
 NOISE_PROBE_FRAMES = 40  # frames behind each measure_pipeline_noise std
+ENSEMBLE_RUNS = 200  # runs in a monte_carlo ensemble
 
 
 @dataclass
@@ -136,7 +137,7 @@ class Scenario:
     drive_periods: int = 4
     duration: float = 0.200
     hold: float = 0.0
-    hold_random: tuple = None        # (lo, hi) seconds, drawn per run
+    hold_random: tuple = None        # (lo, hi) seconds, drawn per run, added to hold
     seed: int = 0
 
     def __post_init__(self):
@@ -149,6 +150,8 @@ class Scenario:
             lo, hi = self.hold_random
             if not 0 <= lo <= hi:
                 raise ValueError(f"hold_random needs 0 <= lo <= hi, got {self.hold_random!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 RECORD_COLUMNS = (
@@ -236,13 +239,13 @@ def run_experiment(scenario, config=None, collect_frames=None):
     if scenario.kind == "quadrupole_drive":
         amp = scenario.drive_amp_frac * trap.omega_x**2
         freq = scenario.drive_freq or trap.omega_q
-        state, _ = quadrupole_drive(state, amp, freq, scenario.drive_periods, trap, dt=tau)
+        state = quadrupole_drive(state, amp, freq, scenario.drive_periods, trap, dt=tau)
         state = replace(state, t=0.0)
 
     hold = scenario.hold
     if scenario.hold_random is not None:
         lo, hi = scenario.hold_random
-        hold = rng_hold.uniform(lo, hi)
+        hold += rng_hold.uniform(lo, hi)
     n_samples = int(round((scenario.duration + hold) / tau))
     kick_sample = int(round(scenario.kick_time / tau))
 
@@ -343,15 +346,15 @@ def summarize_run(record, config=None):
         r = record.column(r_col).copy()
         if sig:
             r += sig * rng.standard_normal(r.size)
-        est = analysis.estimate_mode(
-            mode, r, omega, tau, sigma_r=sig,
-            r_trap=record.column(trap_col) if trap_col else None)
-        out[f"n_{mode}_meas"] = est.n_meas
-        out[f"n_{mode}_true"] = float(est.n_true)
+        n_meas = analysis.phonon_occupancy(
+            r, omega, tau, r_trap=record.column(trap_col) if trap_col else None)
+        out[f"n_{mode}_meas"] = n_meas
+        out[f"n_{mode}_true"] = float(
+            analysis.bias_correct(n_meas, sig, omega, tau, analysis.a_ho(omega)))
     return out
 
 
-def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
+def monte_carlo(scenario, config=None, n_runs=ENSEMBLE_RUNS, base_seed=0, parallel=False,
                 keep_records=False):
     """Seeded ensemble of independent runs plus the aggregate summary.
 
@@ -361,6 +364,8 @@ def monte_carlo(scenario, config=None, n_runs=200, base_seed=0, parallel=False,
     """
     if n_runs < 1:
         raise ValueError("need n_runs >= 1")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed!r}")
     config = config or ExperimentConfig()
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
              for i in range(n_runs)]

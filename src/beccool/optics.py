@@ -226,8 +226,6 @@ def fresnel_image(phase, opt):
     squared; the empty-frame intensity is exactly 1.
     """
     grid = phase.grid
-    if not (_is_pow2(grid.nx) and _is_pow2(grid.nz)):
-        raise ValueError("spectral propagation needs power-of-two grids")
     # kernel times an unnamed temporary spectrum F: from 256 KiB numpy
     # multiplies into the temporary (F * kernel), below that it computes
     # kernel * F.  Complex products are not bit-symmetric, so keep this form;

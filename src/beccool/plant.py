@@ -266,7 +266,7 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
 
     domega_x_sq(t) = amplitude * sin(drive_freq * t) is applied on top of the
     state's trap offsets via repeated exact steps of length ``dt``.  Returns
-    the final state and the sampled trajectory.
+    the final state.
     """
     if n_periods < 1:
         raise ValueError("need n_periods >= 1")
@@ -274,18 +274,11 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
         raise ValueError("drive frequency must be positive")
     n_steps = int(round(n_periods * 2 * np.pi / drive_freq / dt))
     t_rel = 0.0
-    traj = {"t": [], "w": [], "vw": [], "domega_x_sq": []}
     for _ in range(n_steps):
         mod = amplitude * np.sin(drive_freq * t_rel)
-        s = state.trap + SignalVector(0.0, 0.0, mod)
-        traj["t"].append(state.t)
-        traj["w"].append(state.w)
-        traj["vw"].append(state.vw)
-        traj["domega_x_sq"].append(mod)
-        state = step(state, s, dt, cfg)
+        state = step(state, state.trap + SignalVector(0.0, 0.0, mod), dt, cfg)
         t_rel += dt
-    traj = {k: np.array(v) for k, v in traj.items()}
-    return state, traj
+    return state
 
 
 class DelayLine:

@@ -264,7 +264,7 @@ def test_criterion_10_ground_state_cooling_ensemble(trap, report):
     res = {}
     for label, sc in (("on", sc_on), ("off", sc_off)):
         records, summaries, summary = monte_carlo(sc, cfg, n_runs=200, base_seed=10,
-                                                  keep_records=True)
+                                                  parallel=True, keep_records=True)
         n_phys = {"x": [], "z": []}
         for rec in records:
             n_phys["x"].append(phonon_occupancy(

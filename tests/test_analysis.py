@@ -104,23 +104,6 @@ def test_bias_formula_and_inversion():
         assert measurement_bias(s, OMEGA_X, TAU, aho) == pytest.approx(b, rel=1e-12)
 
 
-def test_estimate_mode_record():
-    from beccool.analysis import estimate_mode
-
-    amp = 2e-6
-    t = np.arange(250) * TAU
-    r = amp * np.cos(OMEGA_X * t)
-    est = estimate_mode("x", r, OMEGA_X, TAU, sigma_r=0.12e-6)
-    assert est.mode == "x"
-    assert est.a_ho == pytest.approx(a_ho(OMEGA_X))
-    assert est.window == pytest.approx(49 * TAU)
-    assert est.n_true == pytest.approx(est.n_meas - 0.1558, abs=2e-3)
-    # quiet data can dip below zero after correction; reporting view clamps
-    quiet = estimate_mode("x", np.zeros(200), OMEGA_X, TAU, sigma_r=0.12e-6)
-    assert quiet.n_true < 0
-    assert quiet.clamped() == 0.0
-
-
 def test_bias_correction_unbiased_monte_carlo():
     # frozen trajectory + injected noise: corrected mean recovers the clean n
     amp = 2e-6

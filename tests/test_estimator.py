@@ -308,32 +308,18 @@ class _FullFrameEstimator(InSituEstimator):
         return mv
 
 
-def _region(kind):
-    """The default square, a disk, and an L whose bounding box holds non-atom pixels."""
-    centered = RegionMask.centered(GRID)
-    if kind == "centered":
-        return centered
-    iz, ix = np.indices((GRID.nz, GRID.nx))
-    if kind == "disk":
-        atoms = (iz - 64) ** 2 + (ix - 61) ** 2 <= 10**2
-    else:
-        atoms = np.zeros((GRID.nz, GRID.nx), dtype=bool)
-        atoms[50:78, 52:60] = True
-        atoms[70:78, 52:76] = True
-    return RegionMask(atoms=atoms, background=centered.background)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    region=st.sampled_from(["centered", "disk", "L"]),
+    halfwidth=st.sampled_from([2, 12, 30]),
     photons=st.sampled_from([0.0, 2e7, 1e5, 1e3]),
     blanks=st.lists(st.booleans(), min_size=4, max_size=4),
 )
-def test_process_matches_full_frame_filter(seed, region, photons, blanks):
+def test_process_matches_full_frame_filter(seed, halfwidth, photons, blanks):
+    # the region shapes estimator.region_halfwidth_px can set
     rng = np.random.default_rng(seed)
-    mask = _region(region)
-    fast, ref = InSituEstimator(GRID, mask=mask), _FullFrameEstimator(GRID, mask=mask)
+    cfg = EstimatorConfig(region_halfwidth_px=halfwidth)
+    fast, ref = InSituEstimator(GRID, cfg), _FullFrameEstimator(GRID, cfg)
     renderer = FrameRenderer(GRID, OpticsParams())
     reference = make_reference(GRID)
     for i, blank in enumerate(blanks):

@@ -340,6 +340,14 @@ def test_every_config_field_has_a_file_key(section):
     assert names == {name for sec, name, *_ in harness._KEYS.values() if sec == section}
 
 
+def test_random_hold_adds_to_fixed_hold():
+    sc = Scenario(kind="quiet", feedback=False, duration=0.03, hold_random=(0.0, 0.01),
+                  seed=5)
+    drawn = run_experiment(sc, NOISELESS)
+    held = run_experiment(replace(sc, hold=0.05), NOISELESS)
+    assert len(held) == len(drawn) + 50
+
+
 @pytest.mark.parametrize("parallel", [False, True])
 def test_monte_carlo_records_short_runs_as_failures(parallel):
     # runs shorter than the 50-sample x-mode accounting window are recorded
@@ -501,6 +509,22 @@ def test_cli_usage_error_is_one_error_line(argv, capsys):
     assert _single_config_error(capsys)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("command", [["run"], ["ensemble", "--runs", "1"],
+                                     ["calibrate", "--what", "noise"]])
+def test_cli_negative_seed_is_one_usage_error(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    out = ["--out", "D"] if command[0] != "calibrate" else []
+    assert cli.main(command + ["--seed", "-1"] + out) == 2
+    payload = _single_config_error(capsys)
+    assert payload["kind"] == "usage" and "--seed" in payload["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_monte_carlo_rejects_negative_base_seed():
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        monte_carlo(QUICK, n_runs=1, base_seed=-1)
+
+
 def test_cli_ensemble_zero_runs_leaves_no_out_dir(tmp_path, capsys):
     out = tmp_path / "ens"
     assert cli.main(["ensemble", "--runs", "0", "--out", str(out)]) == 2
@@ -653,6 +677,7 @@ _REJECTED_VALUES = [
     ("noise.offline_sigma_m", "-1"),
     ("noise.process_velocity_std", "-1"),
     ("noise.g_drift_scale", "-1"),
+    ("scenario.seed", "-1"),
 ]
 
 
@@ -768,6 +793,11 @@ def test_measure_pipeline_noise_uses_fresnel_camera():
 def test_noise_probe_frame_default_shared_by_api_and_cli():
     api = inspect.signature(measure_pipeline_noise).parameters["n_frames"].default
     assert cli.build_parser().parse_args(["calibrate"]).frames == api
+
+
+def test_ensemble_run_default_shared_by_api_and_cli():
+    api = inspect.signature(monte_carlo).parameters["n_runs"].default
+    assert cli.build_parser().parse_args(["ensemble"]).runs == api
 
 
 # --- save_config -> load_config round-trips every key -----------------------

@@ -167,16 +167,15 @@ def test_kick_equivalence_comoving_frame(trap):
 
 
 def _drive_energy(trap, amplitude, freq, n_periods):
-    state, _ = quadrupole_drive(equilibrium_state(trap), amplitude, freq, n_periods,
-                                trap, dt=TAU)
+    state = quadrupole_drive(equilibrium_state(trap), amplitude, freq, n_periods,
+                             trap, dt=TAU)
     return mode_energies(state, trap)["w"]
 
 
 def test_quadrupole_drive_zero_amplitude(trap):
-    state, traj = quadrupole_drive(equilibrium_state(trap), 0.0, trap.omega_q, 2, trap)
+    state = quadrupole_drive(equilibrium_state(trap), 0.0, trap.omega_q, 2, trap)
     assert state.w == pytest.approx(trap.w_eq0)
     assert state.vw == pytest.approx(0.0, abs=1e-18)
-    np.testing.assert_allclose(traj["w"], trap.w_eq0, rtol=1e-14)
 
 
 def test_quadrupole_drive_resonant_quadratic_growth(trap):
@@ -213,7 +212,7 @@ def test_quadrupole_drive_matches_ode_oracle(trap):
             k4v, k4w = acc(w + h * k3w), vw + h * k3v
             w += h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
             vw += h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    state, _ = quadrupole_drive(equilibrium_state(trap), amp, freq, n_periods, trap, dt=TAU)
+    state = quadrupole_drive(equilibrium_state(trap), amp, freq, n_periods, trap, dt=TAU)
     assert state.w == pytest.approx(w, rel=1e-7)
     assert state.vw == pytest.approx(vw, rel=1e-6)
 
