@@ -36,7 +36,7 @@ for photons in (None, 2e7, 4e6):
     frame = clean if photons is None else add_shot_noise(clean, photons, rng)
     rho = density_estimate(frame, reference, mask)
     x_raw, z_raw, *_ = extract_moments(np.abs(rho.data), mask, grid)
-    x6, z6, w6, wz6, _ = extract_moments(nonlinear_filter(rho), mask, grid)
+    x6, z6, w6, wz6, _ = extract_moments(nonlinear_filter(rho.data), mask, grid)
     label = "noiseless" if photons is None else f"N={photons:.0e} photons/px"
     print(f"{label:>22}: plain |rho| moments x={x_raw * 1e6:+7.3f} um | "
           f"rho^6 moments x={x6 * 1e6:+7.3f} z={z6 * 1e6:+7.3f} w={w6 * 1e6:6.3f} um")
@@ -49,7 +49,7 @@ for photons in (2e6, 4e6, 1e7, 2e7):
     xs, ws = [], []
     for _ in range(40):
         frame = add_shot_noise(clean, photons, rng)
-        rho6 = nonlinear_filter(density_estimate(frame, reference, mask))
+        rho6 = nonlinear_filter(density_estimate(frame, reference, mask).data)
         x, _, w, _, _ = extract_moments(rho6, mask, grid)
         xs.append(x)
         ws.append(w)

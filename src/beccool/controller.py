@@ -92,15 +92,15 @@ def calibrate_gains(g, target_x, target_z, target_w):
 class ControllerConfig:
     """The output stage; the gain matrix and loop timing are constructor arguments."""
 
-    output_cutoff_hz: float = 100.0  # power channels only; None disables
-    saturation: float = None         # symmetric volt clamp; None disables
+    output_cutoff_hz: float = 100.0  # power channels only; 0 disables
+    saturation: float = 0.0          # symmetric volt clamp; 0 disables
     clamp_before_filter: bool = False
 
     def __post_init__(self):
         for name in ("output_cutoff_hz", "saturation"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive or None (disabled), got {value!r}")
+            if not value >= 0:
+                raise ValueError(f"{name} must be >= 0 (0 disables), got {value!r}")
 
 
 class DerivativeController:
@@ -136,12 +136,13 @@ class DerivativeController:
         self.prev = m
         self.last_raw = raw
         u = raw.copy()
-        if self.cfg.clamp_before_filter and self.cfg.saturation is not None:
-            u = np.clip(u, -self.cfg.saturation, self.cfg.saturation)
+        sat = self.cfg.saturation
+        if sat and self.cfg.clamp_before_filter:
+            u = np.clip(u, -sat, sat)
         if self._lp:
             u[2] = self._lp[0].update(u[2])
             u[3] = self._lp[1].update(u[3])
-        if not self.cfg.clamp_before_filter and self.cfg.saturation is not None:
-            u = np.clip(u, -self.cfg.saturation, self.cfg.saturation)
+        if sat and not self.cfg.clamp_before_filter:
+            u = np.clip(u, -sat, sat)
         return ActuatorVector.from_array(u)
 

@@ -55,6 +55,14 @@ class EstimatorConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if not self.region_halfwidth_px >= 1:
+            raise ValueError(f"region_halfwidth_px must be >= 1, got {self.region_halfwidth_px!r}")
+        if not 0 < self.background_margin_frac < 0.5:
+            raise ValueError("background_margin_frac must lie in (0, 0.5), "
+                             f"got {self.background_margin_frac!r}")
+        if not 0 <= self.degenerate_mass_fraction < 1:
+            raise ValueError("degenerate_mass_fraction must lie in [0, 1), "
+                             f"got {self.degenerate_mass_fraction!r}")
 
 
 @dataclass
@@ -119,18 +127,16 @@ def density_estimate(frame, reference, mask):
 
 def nonlinear_filter(rho):
     """Pointwise sixth power; non-negative output, sharpens high-SNR regions."""
-    if isinstance(rho, ImageGrid):
-        return ImageGrid(rho.grid, rho.data**6)
     return np.asarray(rho) ** 6
 
 
 def extract_moments(rho6, mask, grid):
-    """Centers and widths from the filtered density.
+    """Centers and widths from the filtered density, an (nz, nx) array.
 
     Returns (x, z, w_x, w_z, mass); widths are second central moments, so for
     a Gaussian profile they read sigma/sqrt(6) of the unfiltered cloud.
     """
-    w = np.where(mask.atoms, rho6.data if isinstance(rho6, ImageGrid) else rho6, 0.0)
+    w = np.where(mask.atoms, rho6, 0.0)
     mass = w.sum()
     if mass <= 0:
         raise ValueError("filtered density has no mass in the atom region")

@@ -152,6 +152,10 @@ class Scenario:
                 raise ValueError(f"hold_random needs 0 <= lo <= hi, got {self.hold_random!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if not self.drive_periods >= 1:
+            raise ValueError(f"drive_periods must be >= 1, got {self.drive_periods!r}")
+        if not self.drive_freq >= 0:
+            raise ValueError(f"drive_freq must be >= 0 (0 is resonant), got {self.drive_freq!r}")
 
 
 RECORD_COLUMNS = (
@@ -240,7 +244,6 @@ def run_experiment(scenario, config=None, collect_frames=None):
         amp = scenario.drive_amp_frac * trap.omega_x**2
         freq = scenario.drive_freq or trap.omega_q
         state = quadrupole_drive(state, amp, freq, scenario.drive_periods, trap, dt=tau)
-        state = replace(state, t=0.0)
 
     hold = scenario.hold
     if scenario.hold_random is not None:
@@ -250,7 +253,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
     kick_sample = int(round(scenario.kick_time / tau))
 
     held = ActuatorVector()
-    cols = {name: np.empty(n_samples) for name in RECORD_COLUMNS}
+    rows = np.empty((n_samples, len(RECORD_COLUMNS)))
     for i in range(n_samples):
         t = i * tau
         if scenario.kind == "dipole_kick" and i == kick_sample:
@@ -277,13 +280,11 @@ def run_experiment(scenario, config=None, collect_frames=None):
             held = due
 
         s_total = state.trap + actuator_to_signal(held, g)
-        row = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
-               s_total.dx_trap, s_total.dz_trap,
-               s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
-               m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
-               u.v_x, u.v_z, u.v_64, u.v_90, float(m.degenerate))
-        for name, val in zip(RECORD_COLUMNS, row):
-            cols[name][i] = val
+        rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
+                   s_total.dx_trap, s_total.dz_trap,
+                   s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
+                   m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
+                   u.v_x, u.v_z, u.v_64, u.v_90, m.degenerate)
 
         try:
             state = step(state, s_total, tau, trap)
@@ -294,7 +295,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
             state = replace(state, vx=state.vx + dv[0], vz=state.vz + dv[1],
                             vw=state.vw + dv[2])
 
-    return RunRecord(data=cols, scenario=scenario,
+    return RunRecord(data=dict(zip(RECORD_COLUMNS, rows.T)), scenario=scenario,
                      config_hash=config_hash(config, scenario),
                      seed=scenario.seed)
 
@@ -485,10 +486,9 @@ def dump_frames_writer(out_dir):
 # flat key=value config files
 
 
-# the three file encodings that are not the field's own type
+# the two file encodings that are not the field's own type
 _Codec = namedtuple("_Codec", "encode decode")
 _BOOL = _Codec(int, lambda text: bool(int(text)))
-_NONE_AS_ZERO = _Codec(lambda v: v or 0.0, lambda text: float(text) or None)
 
 
 def _decode_range(text):
@@ -527,8 +527,8 @@ _KEYS = {
     "noise.process_velocity_std": ("noise", "process_velocity_std"),
     "noise.g_drift_scale": ("noise", "g_drift_scale"),
     "gains.mode": ("", "gain_mode"),
-    "gains.output_cutoff_hz": ("controller", "output_cutoff_hz", _NONE_AS_ZERO),
-    "gains.saturation_volts": ("controller", "saturation", _NONE_AS_ZERO),
+    "gains.output_cutoff_hz": ("controller", "output_cutoff_hz"),
+    "gains.saturation_volts": ("controller", "saturation"),
     "gains.clamp_before_filter": ("controller", "clamp_before_filter", _BOOL),
     "estimator.region_halfwidth_px": ("estimator", "region_halfwidth_px"),
     "estimator.background_margin_frac": ("estimator", "background_margin_frac"),

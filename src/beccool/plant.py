@@ -150,7 +150,7 @@ def actuator_to_signal(u, g):
 
 @dataclass
 class PlantState:
-    """Mode coordinates/velocities plus the scenario trap offsets and time.
+    """Mode coordinates/velocities plus the scenario trap offsets.
 
     ``w`` is the axial half-width of the condensate (strictly positive);
     ``trap`` holds externally applied trap offsets (kicks, drives) on top of
@@ -164,7 +164,6 @@ class PlantState:
     w: float
     vw: float
     trap: SignalVector
-    t: float
 
     def __post_init__(self):
         if self.w <= 0:
@@ -172,11 +171,8 @@ class PlantState:
 
 
 def equilibrium_state(cfg):
-    """State at rest at the unperturbed trap equilibrium, at t = 0."""
-    return PlantState(
-        x=0.0, vx=0.0, z=0.0, vz=0.0, w=cfg.w_eq0, vw=0.0,
-        trap=SignalVector(), t=0.0,
-    )
+    """State at rest at the unperturbed trap equilibrium."""
+    return PlantState(x=0.0, vx=0.0, z=0.0, vz=0.0, w=cfg.w_eq0, vw=0.0, trap=SignalVector())
 
 
 def width_equilibrium(cfg, domega_x_sq):
@@ -224,9 +220,7 @@ def step(state, s, dt, cfg):
         raise ValueError("step requires dt > 0")
     wx_sq = cfg.omega_x**2 + s.domega_x_sq
     if wx_sq <= 0:
-        raise ValueError(
-            f"trap inverted: omega_x^2 + domega_x_sq = {wx_sq:.3e} <= 0 at t={state.t:.4f}"
-        )
+        raise ValueError(f"trap inverted: omega_x^2 + domega_x_sq = {wx_sq:.3e} <= 0")
     omega_x = np.sqrt(wx_sq)
     omega_q = QUADRUPOLE_RATIO * omega_x
 
@@ -236,8 +230,7 @@ def step(state, s, dt, cfg):
         state.w, state.vw, width_equilibrium(cfg, s.domega_x_sq), omega_q,
         cfg.width_damping, dt,
     )
-    return PlantState(x=x, vx=vx, z=z, vz=vz, w=w, vw=vw, trap=state.trap,
-                      t=state.t + dt)
+    return PlantState(x=x, vx=vx, z=z, vz=vz, w=w, vw=vw, trap=state.trap)
 
 
 def dipole_kick(state, kick):

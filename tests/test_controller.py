@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beccool import (
     CalibrationError,
@@ -37,9 +38,9 @@ def test_loop_gain_reproduces_documented_values():
     assert np.all(loop_gain(nominal_transfer_matrix(), np.zeros((4, 3))) == 0.0)
 
 
-def _control_update(m_i, m_prev, k, saturation=None):
+def _control_update(m_i, m_prev, k, saturation=0.0):
     """u = K (m_i - m_prev) from the loop's controller, stepped twice, unfiltered."""
-    ctl = DerivativeController(k, 0.0, ControllerConfig(output_cutoff_hz=None,
+    ctl = DerivativeController(k, 0.0, ControllerConfig(output_cutoff_hz=0.0,
                                                         saturation=saturation))
     ctl.step(m_prev, 0.0)
     return ctl.step(m_i, TAU)
@@ -61,12 +62,11 @@ def test_controller_saturation_clamp():
     k[:, 0] = [12.0, -11.0, 3.0, -2.0]
     u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k, saturation=10.0)
     assert u.as_array() == pytest.approx([10.0, -10.0, 3.0, -2.0])
-    u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k)  # default None: no clamp
+    u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k)  # default 0: no clamp
     assert u.as_array() == pytest.approx([12.0, -11.0, 3.0, -2.0])
 
 
-@pytest.mark.parametrize("bad", [dict(saturation=0.0), dict(saturation=-1.0),
-                                 dict(output_cutoff_hz=0.0), dict(output_cutoff_hz=-5.0),
+@pytest.mark.parametrize("bad", [dict(saturation=-1.0), dict(output_cutoff_hz=-5.0),
                                  dict(saturation=float("nan"))])
 def test_controller_config_rejects_non_positive_output_stage(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
@@ -114,8 +114,26 @@ def test_controller_derivative_only_offset_invariance():
     np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9, atol=1e-12)
 
 
+# multiples of 2^-30 m below 2^30 of them: every sum and difference is exact
+_DYADIC = st.integers(-2**30, 2**30).map(lambda k: k * 2.0**-30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(record=st.lists(st.tuples(_DYADIC, _DYADIC, _DYADIC), min_size=2, max_size=30),
+       offset=st.tuples(_DYADIC, _DYADIC, _DYADIC),
+       cfg=st.sampled_from([ControllerConfig(), ControllerConfig(saturation=0.5),
+                            ControllerConfig(saturation=0.5, clamp_before_filter=True)]))
+def test_controller_offset_invariance_property(record, offset, cfg):
+    # (m + c) - (p + c) == m - p bit for bit on dyadic values, so the outputs match exactly
+    outs = []
+    for c in (np.zeros(3), np.array(offset)):
+        ctl = DerivativeController(nominal_gain_matrix(), 2 * TAU, cfg)
+        outs.append([ctl.step(np.array(m) + c, i * TAU).as_array() for i, m in enumerate(record)])
+    assert np.array_equal(outs[0], outs[1])
+
+
 def test_controller_saturation_orders():
-    cfg = ControllerConfig(saturation=0.5, output_cutoff_hz=None)
+    cfg = ControllerConfig(saturation=0.5, output_cutoff_hz=0.0)
     ctl = DerivativeController(nominal_gain_matrix(), 0.0, cfg)
     ctl.step([0, 0, 0], 0.0)
     u = ctl.step([10e-6, 0, 0], TAU)

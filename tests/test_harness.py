@@ -214,7 +214,7 @@ def test_process_velocity_noise_heats_the_modes_reproducibly(trap):
     rec = run_experiment(QUICK, heated)
     last = {c: rec.column(c)[-1] for c in RECORD_COLUMNS}
     state = PlantState(x=last["x"], vx=last["vx"], z=last["z"], vz=last["vz"],
-                       w=last["w"], vw=last["vw"], t=last["t"],
+                       w=last["w"], vw=last["vw"],
                        trap=SignalVector(last["trap_x"], last["trap_z"], last["domega_x_sq"]))
     assert all(e > 0 for e in mode_energies(state, trap).values())
     assert _records_equal(run_experiment(QUICK, heated), rec)
@@ -285,6 +285,12 @@ def test_config_flat_roundtrip(tmp_path):
     assert cfg2.trap.f_x == cfg.trap.f_x
     save_config(p2, cfg2, sc2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_config_hash_is_pinned():
+    # every output file carries this hash; a moved default, key or encoding moves it
+    assert config_hash(ExperimentConfig()) == "0c37fc52e90dd4d3"
+    assert config_hash(ExperimentConfig(), Scenario()) == "442a47de812370a2"
 
 
 def test_config_bad_line_rejected(tmp_path):
@@ -678,6 +684,11 @@ _REJECTED_VALUES = [
     ("noise.process_velocity_std", "-1"),
     ("noise.g_drift_scale", "-1"),
     ("scenario.seed", "-1"),
+    ("estimator.region_halfwidth_px", "0"),
+    ("estimator.background_margin_frac", "0.6"),
+    ("estimator.degenerate_mass_fraction", "-1"),
+    ("scenario.drive_periods", "0"),
+    ("scenario.drive_freq_rad_s", "-5"),
 ]
 
 
@@ -820,6 +831,16 @@ _NON_NEGATIVE = {"trap.f_x_hz", "trap.f_y_hz", "trap.f_z_hz", "trap.w_eq0_m",
                  "noise.process_velocity_std", "noise.g_drift_scale"}
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# fields whose dataclass rule admits less than their type (0 is off, or resonant)
+_DOMAINS = {
+    "gains.output_cutoff_hz": st.just(0.0) | _POSITIVE,
+    "gains.saturation_volts": st.just(0.0) | _POSITIVE,
+    "scenario.drive_freq_rad_s": st.just(0.0) | _POSITIVE,
+    "scenario.drive_periods": st.integers(1, 2**63),
+    "estimator.region_halfwidth_px": st.integers(1, 2**63),
+    "estimator.background_margin_frac": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    "estimator.degenerate_mass_fraction": st.floats(0.0, 1.0, exclude_max=True),
+}
 
 
 def _key_values():
@@ -829,10 +850,10 @@ def _key_values():
         default = getattr(harness._section(ExperimentConfig(), Scenario(), section), name)
         if key in _CHOICES:
             out[key] = st.sampled_from(_CHOICES[key])
+        elif key in _DOMAINS:
+            out[key] = _DOMAINS[key]
         elif codec and codec[0] is harness._BOOL:
             out[key] = st.booleans()
-        elif codec and codec[0] is harness._NONE_AS_ZERO:  # 0.0 is stored as None
-            out[key] = st.none() | _POSITIVE
         elif codec:
             out[key] = st.none() | st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(
                 lambda v: tuple(sorted(v)))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beccool import (
     ActuatorVector,
     DelayLine,
+    PlantState,
     SignalVector,
     TrapConfig,
     actuator_to_signal,
@@ -15,6 +17,7 @@ from beccool import (
     quadrupole_drive,
     step,
 )
+from beccool.constants import RB87_MASS
 
 TAU = 1e-3
 
@@ -119,6 +122,27 @@ def test_energy_conservation_150ms(trap):
     e1 = mode_energies(state, trap)
     for mode in ("x", "z", "w"):
         assert abs(e1[mode] - e0[mode]) <= 1e-10 * e0[mode]
+
+
+_UM = st.floats(-10e-6, 10e-6)
+_MM_PER_S = st.floats(-1e-3, 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_UM, vx=_MM_PER_S, z=_UM, vz=_MM_PER_S, dw=st.floats(-5e-6, 5e-6), vw=_MM_PER_S,
+       dx_trap=_UM, dz_trap=_UM, domega_frac=st.floats(-0.5, 0.5))
+def test_energy_conservation_property(trap, x, vx, z, vz, dw, vw, dx_trap, dz_trap, domega_frac):
+    # open loop under any held trap offsets: each mode's energy stays put, to
+    # 1e-9 of itself or 1e-12 of the energy of a 10 um x oscillation
+    offsets = SignalVector(dx_trap, dz_trap, domega_frac * trap.omega_x**2)
+    state = PlantState(x=x, vx=vx, z=z, vz=vz, w=trap.w_eq0 + dw, vw=vw, trap=offsets)
+    e0 = mode_energies(state, trap)
+    for _ in range(100):
+        state = step(state, state.trap, TAU, trap)
+    e1 = mode_energies(state, trap)
+    floor = 1e-12 * 0.5 * RB87_MASS * trap.omega_x**2 * (10e-6) ** 2
+    for mode in ("x", "z", "w"):
+        assert e1[mode] == pytest.approx(e0[mode], rel=1e-9, abs=floor)
 
 
 def test_dipole_kick_zero_is_noop(trap):
