@@ -67,7 +67,9 @@ def test_controller_saturation_clamp():
 
 
 @pytest.mark.parametrize("bad", [dict(saturation=-1.0), dict(output_cutoff_hz=-5.0),
-                                 dict(saturation=float("nan"))])
+                                 dict(saturation=float("nan")),
+                                 dict(output_cutoff_hz=float("nan")),
+                                 dict(saturation=float("-inf"))])
 def test_controller_config_rejects_non_positive_output_stage(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         ControllerConfig(**bad)
