@@ -99,10 +99,6 @@ class FitResult:
     converged: bool
     n_eval: int
 
-    def __post_init__(self):
-        if self.converged and (self.params.r_x <= 0 or self.params.r_z <= 0):
-            raise ValueError("converged fit must satisfy radius bounds")
-
 
 def _fit_scales(init, opt):
     return np.array([

@@ -172,7 +172,6 @@ class RunRecord:
     data: dict                 # column name -> ndarray, uniform tau spacing
     scenario: Scenario
     config_hash: str
-    seed: int
 
     def __len__(self):
         return len(self.data["t"])
@@ -182,7 +181,7 @@ class RunRecord:
 
     def to_csv(self, path):
         with open(path, "w") as f:
-            f.write(f"# beccool-run config_hash={self.config_hash} seed={self.seed} "
+            f.write(f"# beccool-run config_hash={self.config_hash} seed={self.scenario.seed} "
                     f"scenario={self.scenario.kind} feedback={int(self.scenario.feedback)}\n")
             f.write(",".join(RECORD_COLUMNS) + "\n")
             np.savetxt(f, np.column_stack([self.data[c] for c in RECORD_COLUMNS]),
@@ -190,7 +189,11 @@ class RunRecord:
 
     @classmethod
     def from_csv(cls, path):
-        """The record ``to_csv`` wrote to ``path``; a malformed file raises ValueError."""
+        """The record ``to_csv`` wrote to ``path``; a malformed file raises ValueError.
+
+        Of the scenario, only kind, feedback and seed come from the header;
+        its other fields keep their defaults.
+        """
         with open(path) as f:
             tags = dict(tok.split("=", 1) for tok in f.readline().split() if "=" in tok)
             names = f.readline().strip().split(",")
@@ -206,8 +209,8 @@ class RunRecord:
         if rows.shape[1:] != (len(names),):
             raise ValueError(f"{path}: run record has no data rows of {len(names)} values")
         return cls(data=dict(zip(names, rows.T)), config_hash=tags["config_hash"],
-                   scenario=Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1"),
-                   seed=int(tags["seed"]))
+                   scenario=Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1",
+                                     seed=int(tags["seed"])))
 
 
 def config_hash(config, scenario=None):
@@ -296,8 +299,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
                             vw=state.vw + dv[2])
 
     return RunRecord(data=dict(zip(RECORD_COLUMNS, rows.T)), scenario=scenario,
-                     config_hash=config_hash(config, scenario),
-                     seed=scenario.seed)
+                     config_hash=config_hash(config, scenario))
 
 
 def _camera(config, rng):
@@ -337,8 +339,8 @@ def summarize_run(record, config=None):
     trap = config.trap
     tau = config.loop.sample_period
     sig = config.noise.offline_sigma
-    rng = np.random.default_rng(np.random.SeedSequence(record.seed).spawn(6)[5])
-    out = {"seed": record.seed, "feedback": record.scenario.feedback}
+    rng = np.random.default_rng(np.random.SeedSequence(record.scenario.seed).spawn(6)[5])
+    out = {"seed": record.scenario.seed, "feedback": record.scenario.feedback}
     for mode, omega, r_col, trap_col in (
         ("x", trap.omega_x, "x", "trap_x"),
         ("z", trap.omega_z, "z", "trap_z"),

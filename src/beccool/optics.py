@@ -226,12 +226,9 @@ def fresnel_image(phase, opt):
     squared; the empty-frame intensity is exactly 1.
     """
     grid = phase.grid
-    # kernel times an unnamed temporary spectrum F: from 256 KiB numpy
-    # multiplies into the temporary (F * kernel), below that it computes
-    # kernel * F.  Complex products are not bit-symmetric, so keep this form;
-    # naming F, or multiplying into it by hand, changes the last bits.
-    kernel = _fresnel_kernel(grid.nx, grid.nz, grid.pitch, opt.eta, opt.xi, opt.k)
-    field = kernel * _unit_field_spectrum(phase.data)
+    field = _unit_field_spectrum(phase.data)
+    # spectrum times kernel: complex products are not bit-symmetric
+    field *= _fresnel_kernel(grid.nx, grid.nz, grid.pitch, opt.eta, opt.xi, opt.k)
     np.fft.ifftn(field, axes=(1, 0), out=field)
     intensity = np.abs(field)
     return ImageGrid(grid, np.square(intensity, out=intensity))
@@ -269,12 +266,11 @@ def _kernel_for(values, _key):
     # exact negatives, so k^2 repeats across both mirror axes (and the
     # diagonal when nx == nz): 1973 distinct values on 128x128.  The two
     # exponentials, the costly part, run on those values alone; their
-    # product is formed from grid-sized temporaries, as in the full-grid
-    # formula.  From 256 KiB numpy elides such a temporary and multiplies
-    # into it, which flips the zero sign of the imaginary part where the
-    # pupil factor is subnormal, so the product must see the same sizes.
+    # product is formed on the grid, defocus times pupil, as in the
+    # full-grid formula.
     levels, inv = _k_sq_levels(nx, nz, pitch)
-    kernel = np.exp(-eta**2 * levels)[inv] * np.exp(1j * xi / (2 * k) * levels)[inv]
+    kernel = np.exp(1j * xi / (2 * k) * levels)[inv]
+    kernel *= np.exp(-eta**2 * levels)[inv]
     kernel.flags.writeable = False
     return kernel
 

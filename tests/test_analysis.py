@@ -296,13 +296,6 @@ def test_fit_result_validation():
     ok = FitResult(params=PhaseParams(), xi=800e-6, residual_norm=0.0,
                    converged=True, n_eval=10)
     assert ok.converged
-    # a converged result must carry physical radii; sneak past the
-    # PhaseParams constructor to exercise the FitResult-level check
-    bad = object.__new__(PhaseParams)
-    bad.__dict__.update(phi0=-0.08, r_x=-1e-6, r_z=5e-6, x0=0.0, z0=0.0)
-    with pytest.raises(ValueError):
-        FitResult(params=bad, xi=800e-6, residual_norm=0.0,
-                  converged=True, n_eval=10)
 
 
 def test_ensemble_stats_basics():

@@ -86,7 +86,7 @@ def test_matched_fringes_cancel_exactly(grid, mask, optics):
     rho_fringed = density_estimate(frame, ref, mask).data
     rho_clean = density_estimate(linearized_image(phase, optics),
                                  make_reference(grid, fringes=()), mask).data
-    np.testing.assert_allclose(rho_fringed, rho_clean, atol=1e-12)
+    np.testing.assert_allclose(rho_fringed, rho_clean, atol=1e-11 * np.abs(rho_clean).max())
 
 
 _FRINGE = st.tuples(st.floats(0.0, 0.2), st.tuples(st.floats(-3e4, 3e4), st.floats(-3e4, 3e4)),

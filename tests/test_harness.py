@@ -77,7 +77,7 @@ def test_run_record_csv_roundtrip(tmp_path):
     path = tmp_path / "run.csv"
     rec.to_csv(path)
     back = RunRecord.from_csv(path)
-    assert back.seed == QUICK.seed and back.config_hash == rec.config_hash
+    assert back.scenario.seed == QUICK.seed and back.config_hash == rec.config_hash
     assert back.scenario.kind == QUICK.kind and back.scenario.feedback == QUICK.feedback
     np.testing.assert_allclose(back.column("x"), rec.column("x"), rtol=1e-9)
     assert back.column("t").size == len(rec)
@@ -93,8 +93,8 @@ def test_run_record_csv_rereads_to_identical_bytes(tmp_path, kind, feedback):
     back = RunRecord.from_csv(first)
     back.to_csv(second)
     assert second.read_bytes() == first.read_bytes()
-    assert (back.seed, back.config_hash, back.scenario.kind, back.scenario.feedback) == \
-        (rec.seed, rec.config_hash, kind, feedback)
+    assert (back.scenario.seed, back.config_hash, back.scenario.kind, back.scenario.feedback) == \
+        (rec.scenario.seed, rec.config_hash, kind, feedback)
 
 
 def test_byte_identical_outputs_for_same_seed(tmp_path):
@@ -110,7 +110,7 @@ def test_byte_identical_outputs_for_same_seed(tmp_path):
 def _per_value_csv(record, path):
     # the row formatter to_csv used before it called np.savetxt
     with open(path, "w") as f:
-        f.write(f"# beccool-run config_hash={record.config_hash} seed={record.seed} "
+        f.write(f"# beccool-run config_hash={record.config_hash} seed={record.scenario.seed} "
                 f"scenario={record.scenario.kind} feedback={int(record.scenario.feedback)}\n")
         f.write(",".join(RECORD_COLUMNS) + "\n")
         for row in zip(*[record.data[c] for c in RECORD_COLUMNS]):
@@ -128,7 +128,7 @@ def test_to_csv_bytes_match_per_value_format(tmp_path):
     wide *= 10.0 ** rng.integers(-320, 308, wide.size)
     values = rng.permutation(np.concatenate([special, bit_patterns, wide]))
     record = RunRecord(data=dict(zip(RECORD_COLUMNS, values.reshape(len(RECORD_COLUMNS), -1))),
-                       scenario=Scenario(), config_hash="0123456789abcdef", seed=5)
+                       scenario=Scenario(seed=5), config_hash="0123456789abcdef")
     record.to_csv(tmp_path / "new.csv")
     _per_value_csv(record, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
@@ -236,7 +236,7 @@ def test_monte_carlo_single_run_matches_run_experiment():
     sc = replace(QUICK, duration=0.06)
     records, summaries, summary = monte_carlo(sc, short_config(), n_runs=1,
                                               base_seed=7, keep_records=True)
-    direct = run_experiment(replace(sc, seed=records[0].seed), short_config())
+    direct = run_experiment(replace(sc, seed=records[0].scenario.seed), short_config())
     np.testing.assert_array_equal(records[0].column("x_raw"), direct.column("x_raw"))
     assert summary["n_runs"] == 1 and summary["n_failed"] == 0
 
