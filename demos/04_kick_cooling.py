@@ -8,7 +8,7 @@ limits its gain), and the measurement record the controller actually saw.
 
 import numpy as np
 
-from beccool import Scenario, run_experiment, summarize_run
+from beccool import Scenario, TrapConfig, run_experiment, summarize_run
 
 for feedback in (True, False):
     scenario = Scenario(kind="dipole_kick", feedback=feedback, seed=7)
@@ -27,10 +27,11 @@ for feedback in (True, False):
         rec_off = record
 
 # settling of the horizontal mode, measured against the kicked trap position
-omega_x = 2 * np.pi * 20.3
+omega_x = TrapConfig().omega_x
+kick_dx, kick_time = scenario.kick_dx, scenario.kick_time
 for name, rec in (("ON", rec_on), ("OFF", rec_off)):
-    xk = rec.column("x") + 8e-6 * (rec.column("t") >= 0.010)
-    amp = np.hypot(xk, rec.column("vx") / omega_x) / 8e-6
+    xk = rec.column("x") - kick_dx * (rec.column("t") >= kick_time)
+    amp = np.hypot(xk, rec.column("vx") / omega_x) / abs(kick_dx)
     marks = {25: None, 35: None, 50: None, 80: None}
     for ms in marks:
         marks[ms] = amp[ms]

@@ -9,6 +9,8 @@ on the 20.3 Hz mode because finite-difference velocities amplify it by
 import numpy as np
 
 from beccool import (
+    NoiseConfig,
+    TrapConfig,
     a_ho,
     ballistic_ensemble,
     bias_correct,
@@ -17,11 +19,12 @@ from beccool import (
     sigma_from_bias,
     tof_variance,
 )
-from beccool.constants import HBAR
+from beccool.constants import HBAR, SAMPLE_PERIOD
 
-TAU = 1e-3
-MODES = {"x": 2 * np.pi * 20.3, "z": 2 * np.pi * 70.3,
-         "w": np.sqrt(2.5) * 2 * np.pi * 20.3}
+TAU = SAMPLE_PERIOD
+TRAP = TrapConfig()
+MODES = {"x": TRAP.omega_x, "z": TRAP.omega_z, "w": TRAP.omega_q}
+SIGMA = NoiseConfig().offline_sigma  # the phonon accounting's offline noise
 
 print("oscillator lengths:",
       ", ".join(f"{m}: {a_ho(w) * 1e6:.2f} um" for m, w in MODES.items()))
@@ -34,22 +37,22 @@ print(f"\n8 um oscillation on x: n = {phonon_occupancy(r, MODES['x'], TAU):.2f} 
       f"(closed form {amp**2 / (2 * a_ho(MODES['x'])**2):.2f})")
 
 # the measurement-noise bias and the noise level each documented bias implies
-print("\nwhite-noise biases at 0.12 um, and the noise implied by the "
+print(f"\nwhite-noise biases at {SIGMA * 1e6:.2f} um, and the noise implied by the "
       "documented biases:")
 for mode, bias_doc in (("x", 0.156), ("z", 0.046), ("w", 0.099)):
     w = MODES[mode]
-    b = measurement_bias(0.12e-6, w, TAU, a_ho(w))
+    b = measurement_bias(SIGMA, w, TAU, a_ho(w))
     sig = sigma_from_bias(bias_doc, w, TAU, a_ho(w))
-    print(f"  {mode}: bias(0.12 um) = {b:.4f}   bias {bias_doc} -> "
+    print(f"  {mode}: bias({SIGMA * 1e6:.2f} um) = {b:.4f}   bias {bias_doc} -> "
           f"sigma_r = {sig * 1e6:.3f} um")
 
 # Monte-Carlo: biased measurement, corrected back
 rng = np.random.default_rng(1)
 w = MODES["x"]
-vals = [phonon_occupancy(r + 0.12e-6 * rng.standard_normal(r.size), w, TAU)
+vals = [phonon_occupancy(r + SIGMA * rng.standard_normal(r.size), w, TAU)
         for _ in range(400)]
 n_meas = np.mean(vals)
-n_true = bias_correct(n_meas, 0.12e-6, w, TAU, a_ho(w))
+n_true = bias_correct(n_meas, SIGMA, w, TAU, a_ho(w))
 print(f"\nnoisy record of the same oscillation: n_meas = {n_meas:.3f}, "
       f"bias-corrected n_true = {n_true:.3f}")
 

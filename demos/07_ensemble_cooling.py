@@ -1,6 +1,6 @@
 """Desk-scale cooling ensemble: repeat the kick-and-cool experiment with and
 without feedback over independent seeded runs and compare the phonon
-distributions. A 40+40 ensemble takes ~1 minute; pass --runs to change it."""
+distributions. A 40+40 ensemble takes ~30 s; pass --runs to change it."""
 
 import argparse
 

@@ -77,7 +77,7 @@ def tof_variance(energy, omega, t_tof):
     Var(x) = E/(m omega^2) and Var(v) = E/m at release, so after a free flight
     Var(x(t)) = E/(m omega^2) (1 + omega^2 t^2).
     """
-    if energy < 0:
+    if not energy >= 0:
         raise ValueError("energy must be >= 0")
     return energy / (RB87_MASS * omega**2) * (1.0 + (omega * t_tof) ** 2)
 

@@ -99,7 +99,12 @@ def cmd_analyze(args):
     if not paths:
         return _fail(2, "usage", f"no run_*.csv records under {args.records}")
     config, _ = _load(args)
-    rows = [harness.summarize_run(harness.RunRecord.from_csv(p), config) for p in paths]
+    rows = []
+    for p in paths:
+        try:
+            rows.append(harness.summarize_run(harness.RunRecord.from_csv(p), config))
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     harness.write_summary_json({"n_runs": len(rows), "stats": harness.phonon_stats(rows)},
                                os.path.join(args.out, "analysis.json"))

@@ -79,7 +79,7 @@ def calibrate_gains(g, target_x, target_z, target_w):
         k_w, *_ = np.linalg.lstsq(a, b, rcond=None)
         resid = np.abs(a @ k_w - b)
         tol = 1e-9 * (np.abs(a) @ np.abs(k_w) + np.abs(b) + 1e-30)
-        if np.any(resid > tol):
+        if not np.all(resid <= tol):
             raise CalibrationError("power-channel 2x2 system is singular")
     k = np.zeros((4, 3))
     k[0, 0] = target_x / g[0, 0]

@@ -33,7 +33,7 @@ class MeasurementVector:
     def __post_init__(self):
         if not np.all(np.isfinite([self.x_hat, self.z_hat, self.w_hat])):
             raise ValueError("measurement must be finite")
-        if self.w_hat < 0:
+        if not self.w_hat >= 0:
             raise ValueError("width estimate must be >= 0")
 
     def as_array(self):
@@ -78,7 +78,7 @@ class RegionMask:
         if not self.atoms.any() or not self.background.any():
             raise ValueError("both regions must be nonempty")
         if np.any(self.atoms & self.background):
-            raise ValueError("atom and background regions must be disjoint")
+            raise ValueError("atom region reaches into the background region")
 
     @cached_property
     def atom_box(self):
@@ -97,8 +97,6 @@ class RegionMask:
         mz, mx = int(margin_frac * grid.nz), int(margin_frac * grid.nx)
         background = np.ones((grid.nz, grid.nx), dtype=bool)
         background[mz:-mz, mx:-mx] = False
-        if np.any(atoms & background):
-            raise ValueError("atom region reaches into the background margin")
         return cls(atoms=atoms, background=background)
 
 
@@ -110,7 +108,7 @@ def density_estimate(frame, reference, mask):
     offset so the background region averages to zero.  Output units are
     arbitrary (proportional to the imprinted phase).
     """
-    if np.any(reference.data <= 0):
+    if not np.all(reference.data > 0):
         raise ValueError("reference frame must be strictly positive")
     grid = frame.grid
     current = frame.data / reference.data
@@ -138,7 +136,7 @@ def extract_moments(rho6, mask, grid):
     """
     w = np.where(mask.atoms, rho6, 0.0)
     mass = w.sum()
-    if mass <= 0:
+    if not mass > 0:
         raise ValueError("filtered density has no mass in the atom region")
     x1 = (w * grid.xx).sum() / mass
     z1 = (w * grid.zz).sum() / mass
@@ -158,7 +156,7 @@ class LowPass:
     """
 
     def __init__(self, cutoff_hz, sample_period):
-        if cutoff_hz <= 0 or sample_period <= 0:
+        if not (cutoff_hz > 0 and sample_period > 0):
             raise ValueError("cutoff and sample period must be positive")
         self.alpha = 1.0 - np.exp(-2 * np.pi * cutoff_hz * sample_period)
         self.y = None
@@ -187,9 +185,7 @@ class InSituEstimator:
         )
         self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
         self.lp_w = LowPass(self.cfg.w_cutoff_hz, sample_period)
-        self.last = None
-        self.last_raw = None
-        self._mass_ref = None
+        self.reset()
 
     def reset(self):
         self.lp_x.reset()

@@ -11,6 +11,7 @@ measurement *differences* ever reach the controller, so offsets are harmless.
 
 import hashlib
 import json
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -143,14 +144,14 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in ("dipole_kick", "quadrupole_drive", "quiet"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if (self.duration <= 0 or self.enable_time < 0 or self.kick_time < 0
-                or self.hold < 0):
-            raise ValueError("scenario times must be non-negative, duration positive")
-        if self.hold_random is not None:
-            lo, hi = self.hold_random
-            if not 0 <= lo <= hi:
-                raise ValueError(f"hold_random needs 0 <= lo <= hi, got {self.hold_random!r}")
-        if self.seed < 0:
+        if not (0 < self.duration < math.inf and 0 <= self.kick_time < math.inf
+                and 0 <= self.hold < math.inf and self.enable_time >= 0):
+            raise ValueError("scenario times must be non-negative, duration positive, and all "
+                             "but enable_time finite (an infinite one never engages feedback)")
+        lo, hi = self.hold_random or (0.0, 0.0)  # None: no random hold
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"hold_random needs 0 <= lo <= hi < inf, got {self.hold_random!r}")
+        if not self.seed >= 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not self.drive_periods >= 1:
             raise ValueError(f"drive_periods must be >= 1, got {self.drive_periods!r}")
@@ -200,14 +201,14 @@ class RunRecord:
             lines = [line for line in f if line.strip()]
         missing = {"config_hash", "seed", "scenario", "feedback"} - tags.keys()
         if missing:
-            raise ValueError(f"{path}: run header lacks {', '.join(sorted(missing))}")
+            raise ValueError(f"run header lacks {', '.join(sorted(missing))}")
         if names != RECORD_COLUMNS:
-            raise ValueError(f"{path}: run columns differ from RECORD_COLUMNS: missing "
+            raise ValueError("run columns differ from RECORD_COLUMNS: missing "
                              f"{[c for c in RECORD_COLUMNS if c not in names]}, "
                              f"unexpected {[c for c in names if c not in RECORD_COLUMNS]}")
         rows = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
         if rows.shape[1:] != (len(names),):
-            raise ValueError(f"{path}: run record has no data rows of {len(names)} values")
+            raise ValueError(f"run record has no data rows of {len(names)} values")
         return cls(data=dict(zip(names, rows.T)), config_hash=tags["config_hash"],
                    scenario=Scenario(kind=tags["scenario"], feedback=tags["feedback"] == "1",
                                      seed=int(tags["seed"])))
@@ -259,44 +260,41 @@ def run_experiment(scenario, config=None, collect_frames=None):
     rows = np.empty((n_samples, len(RECORD_COLUMNS)))
     for i in range(n_samples):
         t = i * tau
-        if scenario.kind == "dipole_kick" and i == kick_sample:
-            kick = SignalVector(scenario.kick_dx, scenario.kick_dz,
-                                scenario.kick_domega_frac * trap.omega_x**2)
-            state = dipole_kick(state, kick)
-
-        frame = shoot(state)
-        if collect_frames is not None:
-            collect_frames(i, frame)
-
         try:
+            if scenario.kind == "dipole_kick" and i == kick_sample:
+                kick = SignalVector(scenario.kick_dx, scenario.kick_dz,
+                                    scenario.kick_domega_frac * trap.omega_x**2)
+                state = dipole_kick(state, kick)
+
+            frame = shoot(state)
+            if collect_frames is not None:
+                collect_frames(i, frame)
+
             m = estimator.process(frame, reference, t)
-        except ValueError as exc:
-            raise RuntimeError(f"estimator failed at sample {i} (t={t * 1e3:.1f} ms): {exc}")
-        raw = estimator.last_raw  # set by every call that returns
+            raw = estimator.last_raw  # set by every call that returns
 
-        if scenario.feedback:
-            u = controller.step(config.loop.meas_sign * m.as_array(), t)
-        else:
-            u = ActuatorVector()
-        delay.push(t, u)
-        for due in delay.pop_due(t):
-            held = due
+            if scenario.feedback:
+                u = controller.step(config.loop.meas_sign * m.as_array(), t)
+            else:
+                u = ActuatorVector()
+            delay.push(t, u)
+            for due in delay.pop_due(t):
+                held = due
 
-        s_total = state.trap + actuator_to_signal(held, g)
-        rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
-                   s_total.dx_trap, s_total.dz_trap,
-                   s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
-                   m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
-                   u.v_x, u.v_z, u.v_64, u.v_90, m.degenerate)
+            s_total = state.trap + actuator_to_signal(held, g)
+            rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
+                       s_total.dx_trap, s_total.dz_trap,
+                       s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
+                       m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
+                       u.v_x, u.v_z, u.v_64, u.v_90, m.degenerate)
 
-        try:
             state = step(state, s_total, tau, trap)
+            if config.noise.process_velocity_std:
+                dv = config.noise.process_velocity_std * rng_proc.standard_normal(3)
+                state = replace(state, vx=state.vx + dv[0], vz=state.vz + dv[1],
+                                vw=state.vw + dv[2])
         except ValueError as exc:
-            raise RuntimeError(f"plant failed at sample {i} (t={t * 1e3:.1f} ms): {exc}")
-        if config.noise.process_velocity_std:
-            dv = config.noise.process_velocity_std * rng_proc.standard_normal(3)
-            state = replace(state, vx=state.vx + dv[0], vz=state.vz + dv[1],
-                            vw=state.vw + dv[2])
+            raise RuntimeError(f"sample {i} (t={t * 1e3:.1f} ms) failed: {exc}")
 
     return RunRecord(data=dict(zip(RECORD_COLUMNS, rows.T)), scenario=scenario,
                      config_hash=config_hash(config, scenario))
@@ -365,9 +363,9 @@ def monte_carlo(scenario, config=None, n_runs=ENSEMBLE_RUNS, base_seed=0, parall
     independent of execution order.  ``parallel`` runs the seeds on a pool of
     ``spawn`` processes, one per core, and gives the same results as serial.
     """
-    if n_runs < 1:
+    if not n_runs >= 1:
         raise ValueError("need n_runs >= 1")
-    if base_seed < 0:
+    if not base_seed >= 0:
         raise ValueError(f"base_seed must be >= 0, got {base_seed!r}")
     config = config or ExperimentConfig()
     seeds = [int(np.random.SeedSequence((base_seed, i)).generate_state(1)[0])
@@ -449,7 +447,7 @@ def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
     noise.  Used to calibrate the photon budget against a target measurement
     noise.  A standard deviation needs at least two frames.
     """
-    if n_frames < 2:
+    if not n_frames >= 2:
         raise ValueError(f"pipeline noise needs at least 2 frames, got {n_frames}")
     config = config or ExperimentConfig()
     shoot, reference = _camera(config, np.random.default_rng(seed))
@@ -600,10 +598,10 @@ def config_from_flat(flat):
     """(ExperimentConfig, Scenario or None) from flat key -> text values.
 
     Absent keys keep the dataclass defaults; a Scenario is built only when
-    some scenario.* key is present.  Unknown keys are rejected.  Keys apply
-    one at a time, so a value that does not parse, or that its dataclass
-    rejects, raises a ValueError naming its key (every dataclass rule checks
-    a single value).
+    some scenario.* key is present.  Unknown keys, and NaN or infinite
+    numbers, are rejected.  Keys apply one at a time, so a value that does
+    not parse, or that its dataclass rejects, raises a ValueError naming its
+    key (every dataclass rule checks a single value).
     """
     unknown = sorted(set(flat) - _KEYS.keys())
     if unknown:
@@ -617,6 +615,8 @@ def config_from_flat(flat):
                 value = codec[0].decode(text)
             else:
                 value = next(f.type for f in fields(obj) if f.name == name)(text)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in np.ravel(value)):
+                raise ValueError(f"must be a finite number, got {text!r}")
             obj = replace(obj, **{name: value})
             if section == "scenario":
                 scenario = obj

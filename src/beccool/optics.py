@@ -31,7 +31,7 @@ class GridSpec:
     def __post_init__(self):
         if not (_is_pow2(self.nx) and _is_pow2(self.nz)):
             raise ValueError("grid dimensions must be powers of two")
-        if self.pitch <= 0:
+        if not self.pitch > 0:
             raise ValueError("pixel pitch must be positive")
 
     @cached_property
@@ -120,7 +120,7 @@ class PhaseParams:
     z0: float = 0.0
 
     def __post_init__(self):
-        if self.r_x <= 0 or self.r_z <= 0:
+        if not (self.r_x > 0 and self.r_z > 0):
             raise ValueError("Thomas-Fermi radii must be positive")
 
 
@@ -138,9 +138,9 @@ class OpticsParams:
     eta: float = 5.5e-6
 
     def __post_init__(self):
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:
             raise ValueError("wavelength must be positive")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError("resolution scale must be >= 0")
 
     @property
@@ -365,7 +365,7 @@ def make_reference(grid, fringes=DEFAULT_FRINGES):
 
 def add_shot_noise(image, photons_per_pixel, rng):
     """Gaussian photon shot noise: mean I, standard deviation sqrt(I/N)."""
-    if photons_per_pixel <= 0:
+    if not photons_per_pixel > 0:
         raise ValueError("photon budget must be positive")
     noisy = np.abs(image.data)  # one array: |I|/N, sigma, sigma * draw, then + I
     noisy /= photons_per_pixel

@@ -48,9 +48,9 @@ class TrapConfig:
     def __post_init__(self):
         if not (self.f_x > 0 and self.f_y > 0 and self.f_z > 0):
             raise ValueError("trap frequencies must be strictly positive")
-        if self.w_eq0 <= 0:
+        if not self.w_eq0 > 0:
             raise ValueError("equilibrium width must be strictly positive")
-        if self.width_damping < 0:
+        if not self.width_damping >= 0:
             raise ValueError("width damping rate must be >= 0")
 
     @property
@@ -166,7 +166,7 @@ class PlantState:
     trap: SignalVector
 
     def __post_init__(self):
-        if self.w <= 0:
+        if not self.w > 0:
             raise ValueError("width-mode coordinate must be strictly positive")
 
 
@@ -195,7 +195,7 @@ def _rotate_damped(r, v, center, omega, gamma, dt):
     # exact underdamped solution; gamma is the amplitude decay rate
     if gamma == 0.0:
         return _rotate(r, v, center, omega, dt)
-    if gamma >= omega:
+    if not gamma < omega:
         raise ValueError("width damping must stay below the mode frequency")
     wd = np.sqrt(omega**2 - gamma**2)
     u = r - center
@@ -216,10 +216,10 @@ def step(state, s, dt, cfg):
     with an optional phenomenological damping rate.  The applied offsets ``s``
     must already include every contribution (scenario events + actuators).
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("step requires dt > 0")
     wx_sq = cfg.omega_x**2 + s.domega_x_sq
-    if wx_sq <= 0:
+    if not wx_sq > 0:
         raise ValueError(f"trap inverted: omega_x^2 + domega_x_sq = {wx_sq:.3e} <= 0")
     omega_x = np.sqrt(wx_sq)
     omega_q = QUADRUPOLE_RATIO * omega_x
@@ -261,9 +261,9 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
     state's trap offsets via repeated exact steps of length ``dt``.  Returns
     the final state.
     """
-    if n_periods < 1:
+    if not n_periods >= 1:
         raise ValueError("need n_periods >= 1")
-    if drive_freq <= 0:
+    if not drive_freq > 0:
         raise ValueError("drive frequency must be positive")
     n_steps = int(round(n_periods * 2 * np.pi / drive_freq / dt))
     t_rel = 0.0
@@ -283,13 +283,13 @@ class DelayLine:
     """
 
     def __init__(self, delay):
-        if delay < 0:
+        if not delay >= 0:
             raise ValueError("delay must be >= 0")
         self.delay = delay
         self._queue = deque()
 
     def push(self, t, u):
-        if self._queue and t + self.delay < self._queue[-1][0] - 1e-12:
+        if self._queue and not t + self.delay >= self._queue[-1][0] - 1e-12:
             raise ValueError("commands must be pushed in time order")
         self._queue.append((t + self.delay, u))
 

@@ -120,6 +120,11 @@ def test_bias_correction_unbiased_monte_carlo():
     assert abs(corrected - n_clean) <= 3 * sem
 
 
+def test_tof_variance_rejects_nan_energy():
+    with pytest.raises(ValueError, match="energy"):
+        tof_variance(float("nan"), OMEGA_X, 0.02)
+
+
 def test_tof_variance_zero_time():
     e = 4.2e-31
     assert tof_variance(e, OMEGA_X, 0.0) == pytest.approx(e / (RB87_MASS * OMEGA_X**2))

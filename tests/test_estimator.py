@@ -44,6 +44,9 @@ def test_region_mask_properties(grid):
         RegionMask(atoms=np.zeros((4, 4), bool), background=np.ones((4, 4), bool))
     with pytest.raises(ValueError):
         RegionMask(atoms=np.ones((4, 4), bool), background=np.ones((4, 4), bool))
+    # the region constructor is the one place that tests the overlap
+    with pytest.raises(ValueError, match="atom region reaches into the background region"):
+        RegionMask.centered(grid, halfwidth_px=60)
 
 
 def test_density_estimate_no_atoms(grid, mask, flat_ref):
@@ -208,6 +211,12 @@ def test_lowpass_initializes_on_first_sample():
 def test_lowpass_validation():
     with pytest.raises(ValueError):
         LowPass(0.0, 1e-3)
+
+
+@pytest.mark.parametrize("cutoff, period", [(float("nan"), 1e-3), (60.0, float("nan"))])
+def test_lowpass_rejects_nan(cutoff, period):
+    with pytest.raises(ValueError, match="cutoff and sample period"):
+        LowPass(cutoff, period)
 
 
 def test_finite_difference_trivials():

@@ -1,5 +1,7 @@
 import inspect
+import itertools
 import json
+import math
 import os
 import re
 import tempfile
@@ -328,6 +330,37 @@ def test_scenario_hold_ranges_validated(bad):
         Scenario(**bad)
 
 
+# NaN fails every guard, and each time the loop turns into a sample count
+# must also be finite
+@pytest.mark.parametrize("bad", [
+    dict(duration=math.nan), dict(kick_time=math.nan), dict(hold=math.nan),
+    dict(enable_time=math.nan), dict(hold_random=(math.nan, 0.1)),
+    dict(hold_random=(0.0, math.nan)), dict(seed=math.nan),
+    dict(duration=math.inf), dict(kick_time=math.inf), dict(hold=math.inf),
+    dict(hold_random=(0.0, math.inf)),
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_scenario_rejects_nan_and_infinite_times(bad):
+    with pytest.raises(ValueError):
+        Scenario(**bad)
+
+
+def test_infinite_enable_time_never_engages_feedback():
+    sc = replace(QUICK, kind="dipole_kick", feedback=True, enable_time=math.inf)
+    on, off = run_experiment(sc, NOISELESS), run_experiment(replace(sc, feedback=False), NOISELESS)
+    np.testing.assert_array_equal(np.column_stack(list(on.data.values())),
+                                  np.column_stack(list(off.data.values())))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: monte_carlo(QUICK, n_runs=math.nan), "n_runs"),
+    (lambda: monte_carlo(QUICK, n_runs=1, base_seed=math.nan), "base_seed"),
+    (lambda: measure_pipeline_noise(n_frames=math.nan), "at least 2 frames"),
+], ids=["n_runs", "base_seed", "n_frames"])
+def test_harness_guards_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_readme_config_table_lists_every_key():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
         section = f.read().split("## Configuration files", 1)[1].split("\n## ", 1)[0]
@@ -389,6 +422,43 @@ def test_monte_carlo_all_short_runs_fail():
     sc = Scenario(kind="quiet", feedback=False, duration=0.03)
     with pytest.raises(RuntimeError, match="all 2 runs failed"):
         monte_carlo(sc, n_runs=2)
+
+
+def _camera_fails(monkeypatch, when):
+    """Make the loop's shot-noise stage raise ValueError on the calls ``when`` picks."""
+    real, calls = harness.add_shot_noise, itertools.count()
+
+    def add_shot_noise(*args):
+        if when(next(calls)):
+            raise ValueError("camera fault")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "add_shot_noise", add_shot_noise)
+
+
+def test_failing_sample_outside_estimator_and_plant_names_the_sample(monkeypatch):
+    _camera_fails(monkeypatch, lambda call: call == 3)
+    with pytest.raises(RuntimeError, match=r"^sample 3 \(t=3\.0 ms\) failed: camera fault$"):
+        run_experiment(QUICK)
+
+
+def test_monte_carlo_camera_fault_on_every_frame_fails_every_run(monkeypatch):
+    _camera_fails(monkeypatch, lambda call: True)
+    with pytest.raises(RuntimeError, match="all 2 runs failed; first: sample 0 "):
+        monte_carlo(QUICK, n_runs=2)
+
+
+def test_monte_carlo_records_a_failing_sample_as_one_failed_run(monkeypatch):
+    # QUICK runs 50 frames: the 4th frame of the ensemble is run 0's sample 3
+    _camera_fails(monkeypatch, lambda call: call == 3)
+    _, summaries, summary = monte_carlo(QUICK, n_runs=2)
+    assert summary["failed_runs"] == [0] and len(summaries) == 1
+
+
+def test_monte_carlo_records_non_finite_kicks_as_failed_runs():
+    # the kick's SignalVector rejects NaN inside the loop, at the kick sample
+    with pytest.raises(RuntimeError, match=r"all 2 runs failed; first: sample 10 \(t=10\.0 ms\)"):
+        monte_carlo(Scenario(kick_dx=math.nan, duration=0.02), n_runs=2)
 
 
 def test_measure_pipeline_noise_levels():
@@ -624,6 +694,25 @@ def test_cli_analyze_rejects_record_without_full_rows(tmp_path, capsys, rows):
     assert "run_3.csv" in message and "no data rows" in message
 
 
+def test_cli_analyze_names_a_record_too_short_to_account(tmp_path, capsys):
+    # the x-mode window needs 50 samples: run_1 has 30, run_2 enough
+    run_experiment(replace(QUICK, duration=0.03, seed=1)).to_csv(tmp_path / "run_1.csv")
+    run_experiment(replace(QUICK, duration=0.06, seed=2)).to_csv(tmp_path / "run_2.csv")
+    code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    message = _single_config_error(capsys)["message"]
+    assert "run_1.csv" in message and "need at least 50 samples, got 30" in message
+    assert not (tmp_path / "a").exists()
+
+
+def test_cli_analyze_names_a_record_with_a_non_numeric_value(tmp_path, capsys):
+    (tmp_path / "run_3.csv").write_text(
+        _header_and_columns(RECORD_COLUMNS) + ",".join(["x"] * len(RECORD_COLUMNS)) + "\n")
+    code = cli.main(["analyze", "--records", str(tmp_path), "--out", str(tmp_path / "a")])
+    assert code == 2
+    assert "run_3.csv" in _single_config_error(capsys)["message"]
+
+
 _BAD_VALUES = [
     ("optics.nx", "12.5"),
     ("scenario.feedback", "yes"),
@@ -643,6 +732,39 @@ def test_config_bad_value_names_key(tmp_path, key, text):
 def test_config_hold_random_needs_lo_hi(text):
     with pytest.raises(ValueError, match="scenario.hold_random_s"):
         harness.config_from_flat({"scenario.hold_random_s": text})
+
+
+def _is_float_key(key):
+    section, name, *codec = harness._KEYS[key]
+    default = getattr(harness._section(ExperimentConfig(), Scenario(), section), name)
+    return not codec and isinstance(default, float)
+
+
+_FLOAT_KEYS = [key for key in harness._KEYS if _is_float_key(key)]
+_NON_FINITE = ([(key, text) for key in _FLOAT_KEYS for text in ("nan", "inf", "-inf")]
+               + [("scenario.hold_random_s", text) for text in ("0:inf", "nan:0.1", "-inf:0")])
+
+
+def test_non_finite_cases_cover_every_float_key():
+    assert len(_FLOAT_KEYS) == 34 and "scenario.enable_time_s" in _FLOAT_KEYS
+
+
+@pytest.mark.parametrize("key, text", _NON_FINITE)
+def test_config_rejects_non_finite_numbers(key, text):
+    with pytest.raises(ValueError, match=rf"^config key {re.escape(key)}: must be a finite "
+                                         rf"number, got '{re.escape(text)}'$"):
+        harness.config_from_flat({key: text})
+
+
+@pytest.mark.parametrize("key, text", _NON_FINITE)
+def test_cli_non_finite_config_value_exits_2_before_out(tmp_path, capsys, key, text):
+    cfgp = _write_quick_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + f"{key} = {text}\n")
+    assert cli.main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")]) == 2
+    payload = _single_config_error(capsys)
+    assert payload["kind"] == "config"
+    assert payload["message"].startswith(f"config key {key}: must be a finite number")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key, text", _BAD_VALUES)

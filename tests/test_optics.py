@@ -484,3 +484,17 @@ def test_fresnel_kernel_from_k_sq_levels_is_exact(nx, nz, pitch, eta, xi, wavele
     kernel = _fresnel_kernel(nx, nz, pitch, opt.eta, opt.xi, opt.k)
     assert kernel.shape == (nz, nx)
     assert kernel.tobytes() == _kernel_uncached(grid, opt).tobytes()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: GridSpec(pitch=float("nan")), "pitch"),
+    (lambda: PhaseParams(r_x=float("nan")), "radii"),
+    (lambda: PhaseParams(r_z=float("nan")), "radii"),
+    (lambda: OpticsParams(wavelength=float("nan")), "wavelength"),
+    (lambda: OpticsParams(eta=float("nan")), "resolution scale"),
+    (lambda: add_shot_noise(make_reference(GridSpec(nx=8, nz=8)), float("nan"),
+                            np.random.default_rng(0)), "photon budget"),
+], ids=["pitch", "r_x", "r_z", "wavelength", "eta", "photons"])
+def test_optics_guards_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -302,3 +302,42 @@ def test_perturb_transfer_matrix():
     np.testing.assert_array_equal(g1, g2)
     assert np.all((g1 == 0) == (g == 0))  # zero structure preserved
     assert not np.array_equal(g1, g)
+
+
+NAN = float("nan")
+
+
+def _trap_set(**values):
+    """A default TrapConfig with fields reassigned after its own check."""
+    cfg = TrapConfig()
+    for name, value in values.items():
+        setattr(cfg, name, value)
+    return cfg
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: TrapConfig(w_eq0=NAN), "equilibrium width"),
+    (lambda: TrapConfig(width_damping=NAN), "width damping rate"),
+    (lambda: PlantState(0.0, 0.0, 0.0, 0.0, NAN, 0.0, SignalVector()), "width-mode"),
+    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), NAN, TrapConfig()), "dt > 0"),
+    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), TAU, _trap_set(f_x=NAN)),
+     "inverted"),
+    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), TAU,
+                  _trap_set(width_damping=NAN)), "below the mode frequency"),
+    (lambda: quadrupole_drive(equilibrium_state(TrapConfig()), 1.0, 100.0, NAN, TrapConfig()),
+     "n_periods"),
+    (lambda: quadrupole_drive(equilibrium_state(TrapConfig()), 1.0, NAN, 1, TrapConfig()),
+     "drive frequency"),
+    (lambda: DelayLine(NAN), "delay"),
+], ids=["w_eq0", "width_damping", "state_w", "step_dt", "step_wx_sq", "step_damping",
+        "drive_periods", "drive_freq", "delay"])
+def test_plant_guards_reject_nan(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_delay_line_rejects_nan_push_time():
+    dl = DelayLine(0.0)
+    dl.push(0.0, ActuatorVector())
+    with pytest.raises(ValueError, match="time order"):
+        dl.push(NAN, ActuatorVector())
