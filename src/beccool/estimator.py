@@ -165,9 +165,6 @@ class LowPass:
         self.y = u if self.y is None else self.alpha * u + (1 - self.alpha) * self.y
         return self.y
 
-    def reset(self):
-        self.y = None
-
 
 def finite_difference(m_i, m_prev):
     """Raw per-sample difference; the controller gain absorbs the 1/tau."""
@@ -185,11 +182,6 @@ class InSituEstimator:
         )
         self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
         self.lp_w = LowPass(self.cfg.w_cutoff_hz, sample_period)
-        self.reset()
-
-    def reset(self):
-        self.lp_x.reset()
-        self.lp_w.reset()
         self.last = None
         self.last_raw = None
         self._mass_ref = None

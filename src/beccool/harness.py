@@ -48,7 +48,8 @@ from .plant import (
 )
 
 LOOP_DELAY = 960e-6
-NOISE_PROBE_FRAMES = 40  # frames behind each measure_pipeline_noise std
+NOISE_PROBE_FRAMES = 400  # frames behind each measure_pipeline_noise std
+MAX_RECORD_SAMPLES = 10**6  # 1000 s at 1 kHz; a record holds 184 B per sample
 ENSEMBLE_RUNS = 200  # runs in a monte_carlo ensemble
 
 
@@ -228,10 +229,18 @@ def run_experiment(scenario, config=None, collect_frames=None):
     queue the command in the delay line, and advance the plant 1 ms with
     whatever command is currently due.  The command computed from sample i
     never acts before sample i+1 (960 us latency rounded up to one sample).
+    A scenario that could run past MAX_RECORD_SAMPLES raises ValueError
+    before anything is built.
     """
     config = config or ExperimentConfig()
     trap = config.trap
     tau = config.loop.sample_period
+    longest = scenario.duration + scenario.hold + (scenario.hold_random or (0, 0))[1]
+    if not longest / tau <= MAX_RECORD_SAMPLES:
+        raise ValueError(
+            f"a record of {longest:g} s at {tau:g} s per sample exceeds {MAX_RECORD_SAMPLES} "
+            "samples: shorten scenario.duration_s, scenario.hold_s or scenario.hold_random_s, "
+            "or lengthen loop.sample_period_s")
     root = np.random.SeedSequence(scenario.seed)
     rng_shot, rng_hold, rng_proc, rng_drift = (np.random.default_rng(s) for s in root.spawn(4))
 
@@ -440,27 +449,21 @@ def write_summary_csv(summaries, path):
 
 
 def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
-    """Monte-Carlo std of the raw in-situ estimates for the cloud at rest.
+    """Std of the raw in-situ estimates over a quiet, feedback-off run.
 
-    The frames come from the loop's camera, imaging the plant's equilibrium
-    state as a run's first frame does, so a photon budget of 0 gives zero
-    noise.  Used to calibrate the photon budget against a target measurement
-    noise.  A standard deviation needs at least two frames.
+    The run has ``n_frames`` samples at ``seed`` with process noise off, so
+    the cloud stays at rest and these are exactly the frames that
+    ``run_experiment`` images for that scenario; a photon budget of 0 gives
+    zero noise.  Used to calibrate the photon budget against a target
+    measurement noise.  A standard deviation needs at least two frames.
     """
     if not n_frames >= 2:
         raise ValueError(f"pipeline noise needs at least 2 frames, got {n_frames}")
     config = config or ExperimentConfig()
-    shoot, reference = _camera(config, np.random.default_rng(seed))
-    estimator = InSituEstimator(config.grid, config.estimator)
-    state = equilibrium_state(config.trap)
-    xs, zs, ws = [], [], []
-    for _ in range(n_frames):
-        estimator.reset()  # independent frames: no filter memory
-        estimator.process(shoot(state), reference, 0.0)
-        raw = estimator.last_raw
-        xs.append(raw.x_hat)
-        zs.append(raw.z_hat)
-        ws.append(raw.w_hat)
+    config = replace(config, noise=replace(config.noise, process_velocity_std=0.0))
+    record = run_experiment(Scenario(kind="quiet", feedback=False, seed=seed,
+                                     duration=n_frames * config.loop.sample_period), config)
+    xs, zs, ws = (record.column(c) for c in ("x_raw", "z_raw", "w_raw"))
     return {
         "sigma_x": float(np.std(xs)), "sigma_z": float(np.std(zs)),
         "sigma_w": float(np.std(ws)),

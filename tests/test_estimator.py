@@ -259,12 +259,11 @@ def test_pipeline_determinism(grid, optics, flat_ref):
 def test_estimator_unbiased_at_zero_noise(grid, optics, flat_ref):
     # noiseless resolution-limited frames at sub-pixel object positions:
     # centroids recover the generating centers to < 0.1 pixel
-    est = InSituEstimator(grid)
     worst = 0.0
     for frac in np.linspace(0.0, 1.0, 9):
         x0 = frac * grid.pitch
         z0 = (1.0 - frac) * 0.6 * grid.pitch
-        est.reset()
+        est = InSituEstimator(grid)  # independent frames: no filter memory
         est.process(_render(grid, optics, x0, z0), flat_ref, 0.0)
         raw = est.last_raw
         worst = max(worst, abs(raw.x_hat - x0), abs(raw.z_hat - z0))

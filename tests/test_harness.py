@@ -14,8 +14,6 @@ from hypothesis import given, settings, strategies as st
 import beccool.cli as cli
 from beccool import (
     ExperimentConfig,
-    FrameRenderer,
-    InSituEstimator,
     LoopConfig,
     LowPass,
     NoiseConfig,
@@ -23,10 +21,8 @@ from beccool import (
     PlantState,
     Scenario,
     SignalVector,
-    add_shot_noise,
     config_hash,
     load_config,
-    make_reference,
     measure_pipeline_noise,
     mode_energies,
     monte_carlo,
@@ -896,31 +892,69 @@ def test_noise_probe_images_the_first_frame_of_a_run():
     assert probe["mean_w"] == record.column("w_raw")[0]
 
 
+def _quiet_run_raw_stats(config, n_frames, seed):
+    """The probe's dict, read off the raw columns of a quiet feedback-off run."""
+    assert config.noise.process_velocity_std == 0.0
+    record = run_experiment(Scenario(kind="quiet", feedback=False, seed=seed,
+                                     duration=n_frames * config.loop.sample_period), config)
+    ws = record.column("w_raw")
+    return {"sigma_x": float(np.std(record.column("x_raw"))),
+            "sigma_z": float(np.std(record.column("z_raw"))),
+            "sigma_w": float(np.std(ws)), "mean_w": float(np.mean(ws)),
+            "photons_per_pixel": config.noise.photons_per_pixel}
+
+
 def test_measure_pipeline_noise_uses_fresnel_camera():
+    # the probe reports on exactly the frames a run at the same seed images
     config = ExperimentConfig(loop=LoopConfig(render_model="fresnel"))
     n_frames, seed = 6, 4
-    rng = np.random.default_rng(seed)
-    reference = make_reference(config.grid)
-    renderer = FrameRenderer(config.grid, config.optics)
-    estimator = InSituEstimator(config.grid, config.estimator)
-    params = replace(config.phase, x0=0.0, z0=0.0)
-    xs, zs, ws = [], [], []
-    for _ in range(n_frames):
-        frame = renderer.render_fresnel(params)
-        frame.data *= reference.data
-        frame = add_shot_noise(frame, config.noise.photons_per_pixel, rng)
-        estimator.reset()
-        estimator.process(frame, reference, 0.0)
-        xs.append(estimator.last_raw.x_hat)
-        zs.append(estimator.last_raw.z_hat)
-        ws.append(estimator.last_raw.w_hat)
-    expected = {"sigma_x": float(np.std(xs)), "sigma_z": float(np.std(zs)),
-                "sigma_w": float(np.std(ws)), "mean_w": float(np.mean(ws)),
-                "photons_per_pixel": config.noise.photons_per_pixel}
     probe = measure_pipeline_noise(config, n_frames=n_frames, seed=seed)
-    assert probe == expected
+    assert probe == _quiet_run_raw_stats(config, n_frames, seed)
     linear = measure_pipeline_noise(ExperimentConfig(), n_frames=n_frames, seed=seed)
+    assert linear == _quiet_run_raw_stats(ExperimentConfig(), n_frames, seed)
     assert probe["mean_w"] != linear["mean_w"]
+
+
+def test_noise_probe_ignores_process_noise_and_gain_drift():
+    # process noise is switched off, and with feedback off the drifted G
+    # never acts: the cloud stays at rest
+    heated = ExperimentConfig(noise=NoiseConfig(process_velocity_std=1e-4, g_drift_scale=0.2))
+    assert measure_pipeline_noise(heated, n_frames=20, seed=5) == \
+        measure_pipeline_noise(ExperimentConfig(), n_frames=20, seed=5)
+
+
+def test_cli_calibrate_noise_failing_sample_is_a_runtime_error(monkeypatch, capsys):
+    _camera_fails(monkeypatch, lambda call: call == 3)
+    assert cli.main(["calibrate", "--what", "noise", "--frames", "10"]) == 1
+    payload = _single_config_error(capsys)
+    assert payload["kind"] == "runtime"
+    assert payload["message"].startswith("sample 3 (t=3.0 ms) failed: camera fault")
+
+
+def test_record_length_cap_is_inclusive_and_counts_the_longest_random_hold(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_RECORD_SAMPLES", 10)
+    assert len(run_experiment(replace(QUICK, duration=0.010), NOISELESS)) == 10
+    for over in (dict(duration=0.011), dict(duration=0.005, hold=0.006),
+                 dict(duration=0.005, hold_random=(0.0, 0.006))):
+        with pytest.raises(ValueError, match="exceeds 10 samples: shorten scenario.duration_s"):
+            run_experiment(replace(QUICK, **over), NOISELESS)
+
+
+@pytest.mark.parametrize("command, lines", [
+    (["run"], "scenario.duration_s = 1e306\n"),
+    (["run"], "scenario.duration_s = 1e9\nloop.sample_period_s = 1e-9\n"),
+    (["ensemble", "--runs", "2"], "scenario.duration_s = 1e306\n"),
+    (["calibrate", "--what", "noise", "--frames", "100000000000000000000"], ""),
+], ids=["run-overflow", "run-too-big", "ensemble", "calibrate-noise"])
+def test_cli_record_over_the_cap_is_one_config_error(tmp_path, capsys, command, lines):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(lines)
+    out = ["--out", str(tmp_path / "o")] if command[0] != "calibrate" else []
+    assert cli.main(command + ["--config", str(cfg)] + out) == 2
+    payload = _single_config_error(capsys)
+    assert payload["kind"] == "config"
+    for key in ("scenario.duration_s", "scenario.hold_s", "loop.sample_period_s"):
+        assert key in payload["message"]
 
 
 def test_noise_probe_frame_default_shared_by_api_and_cli():
