@@ -166,7 +166,7 @@ def build_parser():
     sp = sub.add_parser("calibrate", help="gain or noise calibration")
     sp.add_argument("--what", choices=["gains", "noise"], default="gains")
     sp.add_argument("--config")
-    sp.add_argument("--frames", type=int, default=harness.NOISE_PROBE_FRAMES)
+    sp.add_argument("--frames", type=_whole_number(2), default=harness.NOISE_PROBE_FRAMES)
     sp.add_argument("--seed", type=_whole_number(0))
     sp.set_defaults(func=cmd_calibrate)
     return p

@@ -120,7 +120,6 @@ class DerivativeController:
         fc = self.cfg.output_cutoff_hz
         self._lp = (LowPass(fc, sample_period), LowPass(fc, sample_period)) if fc else None
         self.prev = None
-        self.last_raw = np.zeros(4)
 
     def step(self, m, t):
         """Consume the measurement for this sample and emit actuator voltages.
@@ -130,12 +129,10 @@ class DerivativeController:
         """
         m = np.asarray(m, dtype=float)
         if self.prev is None or t < self.enable_time:
-            raw = np.zeros(4)
+            u = np.zeros(4)
         else:
-            raw = self.k @ finite_difference(m, self.prev)
+            u = self.k @ finite_difference(m, self.prev)
         self.prev = m
-        self.last_raw = raw
-        u = raw.copy()
         sat = self.cfg.saturation
         if sat and self.cfg.clamp_before_filter:
             u = np.clip(u, -sat, sat)

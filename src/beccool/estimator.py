@@ -19,21 +19,22 @@ from .optics import ImageGrid
 class MeasurementVector:
     """Real-time estimates: positions, width, plus the uncontrolled z width.
 
-    Values are the feedback-path quantities, i.e. x_hat and w_hat are the
-    low-pass-filtered versions while z_hat is unfiltered.
+    The feedback path reads x_hat and w_hat low-pass filtered, z_hat unfiltered;
+    x_raw and w_raw are the frame's own moments before the filters.
     """
 
     x_hat: float = 0.0
     z_hat: float = 0.0
     w_hat: float = 0.0
-    t: float = 0.0
     w_z_hat: float = 0.0
+    x_raw: float = 0.0
+    w_raw: float = 0.0
     degenerate: bool = False
 
     def __post_init__(self):
-        if not np.all(np.isfinite([self.x_hat, self.z_hat, self.w_hat])):
+        if not np.all(np.isfinite([self.x_hat, self.z_hat, self.w_hat, self.x_raw, self.w_raw])):
             raise ValueError("measurement must be finite")
-        if not self.w_hat >= 0:
+        if not (self.w_hat >= 0 and self.w_raw >= 0):
             raise ValueError("width estimate must be >= 0")
 
     def as_array(self):
@@ -136,8 +137,8 @@ def extract_moments(rho6, mask, grid):
     """
     w = np.where(mask.atoms, rho6, 0.0)
     mass = w.sum()
-    if not mass > 0:
-        raise ValueError("filtered density has no mass in the atom region")
+    if not 0 < mass < np.inf:  # a finite positive mass gives finite moments on the grid
+        raise ValueError("filtered density has no finite positive mass in the atom region")
     x1 = (w * grid.xx).sum() / mass
     z1 = (w * grid.zz).sum() / mass
     x2 = (w * grid.xx_sq).sum() / mass
@@ -183,7 +184,6 @@ class InSituEstimator:
         self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
         self.lp_w = LowPass(self.cfg.w_cutoff_hz, sample_period)
         self.last = None
-        self.last_raw = None
         self._mass_ref = None
 
     def process(self, frame, reference, t):
@@ -201,17 +201,15 @@ class InSituEstimator:
         if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
-            held = replace(self.last, t=t, degenerate=True)
-            self.last = held
-            return held
+            self.last = replace(self.last, degenerate=True)
+            return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
-        self.last_raw = MeasurementVector(x_hat=x, z_hat=z, w_hat=w_x, t=t, w_z_hat=w_z)
-        mv = MeasurementVector(
+        self.last = MeasurementVector(
             x_hat=self.lp_x.update(x),
             z_hat=z,  # no filter on z: extra delay would degrade its loop
             w_hat=self.lp_w.update(w_x),
-            t=t,
             w_z_hat=w_z,
+            x_raw=x,
+            w_raw=w_x,
         )
-        self.last = mv
-        return mv
+        return self.last

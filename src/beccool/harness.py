@@ -280,7 +280,6 @@ def run_experiment(scenario, config=None, collect_frames=None):
                 collect_frames(i, frame)
 
             m = estimator.process(frame, reference, t)
-            raw = estimator.last_raw  # set by every call that returns
 
             if scenario.feedback:
                 u = controller.step(config.loop.meas_sign * m.as_array(), t)
@@ -294,7 +293,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
             rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
                        s_total.dx_trap, s_total.dz_trap,
                        s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
-                       m.x_hat, m.z_hat, m.w_hat, raw.x_hat, raw.z_hat, raw.w_hat, raw.w_z_hat,
+                       m.x_hat, m.z_hat, m.w_hat, m.x_raw, m.z_hat, m.w_raw, m.w_z_hat,
                        u.v_x, u.v_z, u.v_64, u.v_90, m.degenerate)
 
             state = step(state, s_total, tau, trap)
@@ -455,10 +454,12 @@ def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
     the cloud stays at rest and these are exactly the frames that
     ``run_experiment`` images for that scenario; a photon budget of 0 gives
     zero noise.  Used to calibrate the photon budget against a target
-    measurement noise.  A standard deviation needs at least two frames.
+    measurement noise.  It takes 2 frames up to MAX_RECORD_SAMPLES.
     """
-    if not n_frames >= 2:
-        raise ValueError(f"pipeline noise needs at least 2 frames, got {n_frames}")
+    if not 2 <= n_frames <= MAX_RECORD_SAMPLES:  # before n_frames * tau, which can overflow
+        raise ValueError(f"pipeline noise needs at least 2 frames and at most {MAX_RECORD_SAMPLES}"
+                         ", the record cap on scenario.duration_s + scenario.hold_s at "
+                         "loop.sample_period_s")
     config = config or ExperimentConfig()
     config = replace(config, noise=replace(config.noise, process_velocity_std=0.0))
     record = run_experiment(Scenario(kind="quiet", feedback=False, seed=seed,

@@ -96,10 +96,8 @@ def test_controller_output_filter_on_power_channels_only():
     alpha = LowPass(100.0, TAU).alpha
     assert u.v_64 == pytest.approx(-0.38 * alpha)   # filtered
     assert u.v_90 == pytest.approx(0.16 * alpha)
-    assert ctl.last_raw[2] == pytest.approx(-0.38)  # pre-filter value
     # measurement now constant: raw output returns to zero, filter decays
     u2 = ctl.step([0.0, 0.0, 1e-6], 2 * TAU)
-    assert ctl.last_raw[2] == 0.0
     assert u2.v_64 == pytest.approx((1 - alpha) * u.v_64)
     assert abs(u2.v_64) < abs(u.v_64)
 

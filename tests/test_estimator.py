@@ -264,9 +264,8 @@ def test_estimator_unbiased_at_zero_noise(grid, optics, flat_ref):
         x0 = frac * grid.pitch
         z0 = (1.0 - frac) * 0.6 * grid.pitch
         est = InSituEstimator(grid)  # independent frames: no filter memory
-        est.process(_render(grid, optics, x0, z0), flat_ref, 0.0)
-        raw = est.last_raw
-        worst = max(worst, abs(raw.x_hat - x0), abs(raw.z_hat - z0))
+        m = est.process(_render(grid, optics, x0, z0), flat_ref, 0.0)
+        worst = max(worst, abs(m.x_raw - x0), abs(m.z_hat - z0))
     assert worst <= 0.1 * grid.pitch
 
 
@@ -287,13 +286,27 @@ def test_estimator_degenerate_frame_policy(grid, optics, flat_ref):
     held = est.process(flat_ref, flat_ref, 1e-3)  # empty frame: no mass
     assert held.degenerate
     assert held.x_hat == good.x_hat and held.w_hat == good.w_hat
-    assert held.t == 1e-3
+    assert held.x_raw == good.x_raw and held.w_raw == good.w_raw
 
 
 def test_estimator_degenerate_first_frame_raises(grid, flat_ref):
     est = InSituEstimator(grid)
     with pytest.raises(ValueError, match="degenerate"):
         est.process(flat_ref, flat_ref, 0.0)
+
+
+def test_rejected_frame_leaves_the_filters_untouched(grid, optics, flat_ref):
+    # a frame whose rho^6 mass overflows raises before either low-pass
+    # filter updates: the next good frame reads as if it never came
+    good = _render(grid, optics, 1e-6, 0.0)
+    bad = ImageGrid(grid, good.data.copy())
+    bad.data[grid.nz // 2, grid.nx // 2] = 1e200
+    est, clean = InSituEstimator(grid), InSituEstimator(grid)
+    est.process(good, flat_ref, 0.0)
+    clean.process(good, flat_ref, 0.0)
+    with pytest.raises(ValueError), np.errstate(over="ignore"):  # rho**6 overflows
+        est.process(bad, flat_ref, 1e-3)
+    assert est.process(good, flat_ref, 2e-3) == clean.process(good, flat_ref, 2e-3)
 
 
 # --- the atom-box filter matches the full-frame pipeline bit for bit ----------
@@ -321,15 +334,13 @@ class _FullFrameEstimator(InSituEstimator):
         if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
-            held = replace(self.last, t=t, degenerate=True)
-            self.last = held
-            return held
+            self.last = replace(self.last, degenerate=True)
+            return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
-        self.last_raw = MeasurementVector(x_hat=x, z_hat=z, w_hat=w_x, t=t, w_z_hat=w_z)
-        mv = MeasurementVector(x_hat=self.lp_x.update(x), z_hat=z,
-                               w_hat=self.lp_w.update(w_x), t=t, w_z_hat=w_z)
-        self.last = mv
-        return mv
+        self.last = MeasurementVector(x_hat=self.lp_x.update(x), z_hat=z,
+                                      w_hat=self.lp_w.update(w_x), w_z_hat=w_z,
+                                      x_raw=x, w_raw=w_x)
+        return self.last
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,5 +377,4 @@ def test_process_matches_full_frame_filter(seed, halfwidth, photons, blanks):
         got = fast.process(frame, reference, t)
         assert got == want
         assert got.degenerate == want.degenerate
-        assert fast.last_raw == ref.last_raw
         assert fast._mass_ref == ref._mass_ref  # later degenerate decisions

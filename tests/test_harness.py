@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import beccool.cli as cli
 from beccool import (
     ExperimentConfig,
+    ImageGrid,
     LoopConfig,
     LowPass,
     NoiseConfig,
@@ -451,6 +452,25 @@ def test_monte_carlo_records_a_failing_sample_as_one_failed_run(monkeypatch):
     assert summary["failed_runs"] == [0] and len(summaries) == 1
 
 
+def test_degenerate_frame_holds_every_measurement_column(monkeypatch):
+    # an all-ones frame over the fringe-free reference has no rho^6 mass: its
+    # row repeats the previous frame's filtered and raw estimates
+    real, calls, k = harness.add_shot_noise, itertools.count(), 5
+
+    def add_shot_noise(image, *args):
+        if next(calls) == k:
+            return ImageGrid(image.grid, np.ones_like(image.data))
+        return real(image, *args)
+
+    monkeypatch.setattr(harness, "add_shot_noise", add_shot_noise)
+    config = ExperimentConfig(noise=NoiseConfig(reference_fringes=False))
+    record = run_experiment(QUICK, config)
+    assert list(record.column("degenerate")[k - 1:k + 2]) == [0, 1, 0]
+    for name in ("x_hat", "z_hat", "w_hat", "x_raw", "z_raw", "w_raw", "wz_raw"):
+        column = record.column(name)
+        assert column[k] == column[k - 1], name
+
+
 def test_monte_carlo_records_non_finite_kicks_as_failed_runs():
     # the kick's SignalVector rejects NaN inside the loop, at the kick sample
     with pytest.raises(RuntimeError, match=r"all 2 runs failed; first: sample 10 \(t=10\.0 ms\)"):
@@ -855,14 +875,16 @@ def test_measure_pipeline_noise_needs_two_frames(n_frames):
         measure_pipeline_noise(n_frames=n_frames)
 
 
-@pytest.mark.parametrize("frames", ["0", "1"])
+@pytest.mark.parametrize("frames", ["0", "1", "-3"])
 def test_cli_calibrate_noise_needs_two_frames(capsys, frames):
     code = cli.main(["calibrate", "--what", "noise", "--frames", frames])
     assert code == 2
     captured = capsys.readouterr()
     assert "sigma_x" not in captured.out
-    payload = json.loads(captured.err.split("ERROR ", 1)[1])
-    assert payload["kind"] == "config" and "at least 2 frames" in payload["message"]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0].split("ERROR ", 1)[1])
+    assert payload["kind"] == "usage" and "--frames" in payload["message"]
 
 
 def test_measure_pipeline_noise_noiseless_is_zero():
@@ -945,7 +967,9 @@ def test_record_length_cap_is_inclusive_and_counts_the_longest_random_hold(monke
     (["run"], "scenario.duration_s = 1e9\nloop.sample_period_s = 1e-9\n"),
     (["ensemble", "--runs", "2"], "scenario.duration_s = 1e306\n"),
     (["calibrate", "--what", "noise", "--frames", "100000000000000000000"], ""),
-], ids=["run-overflow", "run-too-big", "ensemble", "calibrate-noise"])
+    (["calibrate", "--what", "noise", "--frames", "1" + "0" * 400], ""),
+], ids=["run-overflow", "run-too-big", "ensemble", "calibrate-noise",
+        "calibrate-noise-overflow"])
 def test_cli_record_over_the_cap_is_one_config_error(tmp_path, capsys, command, lines):
     cfg = tmp_path / "long.cfg"
     cfg.write_text(lines)
