@@ -47,8 +47,8 @@ class EstimatorConfig:
     background_margin_frac: float = 0.15
     x_cutoff_hz: float = 60.0
     w_cutoff_hz: float = 100.0
-    # frames whose rho^6 mass falls below this fraction of the first frame's
-    # mass are declared degenerate: hold the last measurement and flag it
+    # frames whose rho^6 mass falls below this fraction of the first accepted
+    # frame's mass are declared degenerate: hold the last measurement and flag it
     degenerate_mass_fraction: float = 1e-4
 
     def __post_init__(self):
@@ -196,14 +196,13 @@ class InSituEstimator:
         rho6 = np.zeros_like(rho.data)
         rho6[box] = nonlinear_filter(np.ascontiguousarray(rho.data[box]))
         mass = rho6.sum()
-        if self._mass_ref is None:
-            self._mass_ref = mass
-        if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:
+        if mass <= self.cfg.degenerate_mass_fraction * (self._mass_ref or mass):
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
             self.last = replace(self.last, degenerate=True)
             return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
+        self._mass_ref = self._mass_ref or mass  # the first accepted frame's
         self.last = MeasurementVector(
             x_hat=self.lp_x.update(x),
             z_hat=z,  # no filter on z: extra delay would degrade its loop

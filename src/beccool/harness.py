@@ -47,7 +47,6 @@ from .plant import (
     width_equilibrium,
 )
 
-LOOP_DELAY = 960e-6
 NOISE_PROBE_FRAMES = 400  # frames behind each measure_pipeline_noise std
 MAX_RECORD_SAMPLES = 10**6  # 1000 s at 1 kHz; a record holds 184 B per sample
 ENSEMBLE_RUNS = 200  # runs in a monte_carlo ensemble
@@ -76,7 +75,7 @@ class NoiseConfig:
 @dataclass
 class LoopConfig:
     sample_period: float = SAMPLE_PERIOD
-    delay: float = LOOP_DELAY
+    delay: float = 960e-6  # s, measured latency from frame to actuation
     meas_sign: float = -1.0   # camera-to-actuator axis calibration
     render_model: str = "linear"  # 'linear' (alias-free) or 'fresnel'
 
@@ -85,8 +84,14 @@ class LoopConfig:
             raise ValueError(f"unknown render model {self.render_model!r}")
         if not self.sample_period > 0:
             raise ValueError(f"sample_period must be positive, got {self.sample_period!r}")
-        if not self.delay >= 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay!r}")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {self.delay!r}")
+
+    @property
+    def delay_samples(self):
+        """The delay rounded up to whole samples (1 for 960 us at 1 ms); k periods
+        plus up to 1e-12 s is k, and the count stops at MAX_RECORD_SAMPLES."""
+        return max(0, math.ceil(min((self.delay - 1e-12) / self.sample_period, MAX_RECORD_SAMPLES)))
 
 
 @dataclass
@@ -221,14 +226,23 @@ def config_hash(config, scenario=None):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+SeedStreams = namedtuple("SeedStreams", "shot hold process drift spare offline")
+
+
+def seed_streams(seed):
+    """Run ``seed``'s Generators: SeedSequence(seed)'s children in field order.
+    Nothing draws ``spare`` yet, so a new stream there moves no output."""
+    return SeedStreams(*map(np.random.default_rng, np.random.SeedSequence(seed).spawn(6)))
+
+
 def run_experiment(scenario, config=None, collect_frames=None):
     """One deterministic closed-loop run.
 
     Per sample: synthesize the camera frame from the plant state, add shot
     noise, run the in-situ pipeline, apply the control law (when enabled),
-    queue the command in the delay line, and advance the plant 1 ms with
-    whatever command is currently due.  The command computed from sample i
-    never acts before sample i+1 (960 us latency rounded up to one sample).
+    queue the command in the delay line, and advance the plant one sample with
+    the command due: the one from sample i acts from sample i +
+    ``config.loop.delay_samples`` (i+1 at the default 960 us, i at zero delay).
     A scenario that could run past MAX_RECORD_SAMPLES raises ValueError
     before anything is built.
     """
@@ -241,16 +255,15 @@ def run_experiment(scenario, config=None, collect_frames=None):
             f"a record of {longest:g} s at {tau:g} s per sample exceeds {MAX_RECORD_SAMPLES} "
             "samples: shorten scenario.duration_s, scenario.hold_s or scenario.hold_random_s, "
             "or lengthen loop.sample_period_s")
-    root = np.random.SeedSequence(scenario.seed)
-    rng_shot, rng_hold, rng_proc, rng_drift = (np.random.default_rng(s) for s in root.spawn(4))
+    rng = seed_streams(scenario.seed)
 
-    g = perturb_transfer_matrix(nominal_transfer_matrix(), rng_drift,
+    g = perturb_transfer_matrix(nominal_transfer_matrix(), rng.drift,
                                 config.noise.g_drift_scale)
     controller = DerivativeController(config.gain_matrix(g), scenario.enable_time,
                                       config.controller, tau)
     estimator = InSituEstimator(config.grid, config.estimator, sample_period=tau)
-    shoot, reference = _camera(config, rng_shot)
-    delay = DelayLine(config.loop.delay)
+    shoot, reference = _camera(config, rng.shot)
+    delay = DelayLine(config.loop.delay_samples)
 
     state = equilibrium_state(trap)
     if scenario.kind == "quadrupole_drive":
@@ -261,11 +274,10 @@ def run_experiment(scenario, config=None, collect_frames=None):
     hold = scenario.hold
     if scenario.hold_random is not None:
         lo, hi = scenario.hold_random
-        hold += rng_hold.uniform(lo, hi)
+        hold += rng.hold.uniform(lo, hi)
     n_samples = int(round((scenario.duration + hold) / tau))
     kick_sample = int(round(scenario.kick_time / tau))
 
-    held = ActuatorVector()
     rows = np.empty((n_samples, len(RECORD_COLUMNS)))
     for i in range(n_samples):
         t = i * tau
@@ -281,13 +293,10 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
             m = estimator.process(frame, reference, t)
 
-            if scenario.feedback:
-                u = controller.step(config.loop.meas_sign * m.as_array(), t)
-            else:
-                u = ActuatorVector()
-            delay.push(t, u)
-            for due in delay.pop_due(t):
-                held = due
+            u = (controller.step(config.loop.meas_sign * m.as_array(), t)
+                 if scenario.feedback else ActuatorVector())
+            delay.push(u)
+            held = delay.pop_due()
 
             s_total = state.trap + actuator_to_signal(held, g)
             rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
@@ -298,7 +307,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
 
             state = step(state, s_total, tau, trap)
             if config.noise.process_velocity_std:
-                dv = config.noise.process_velocity_std * rng_proc.standard_normal(3)
+                dv = config.noise.process_velocity_std * rng.process.standard_normal(3)
                 state = replace(state, vx=state.vx + dv[0], vz=state.vz + dv[1],
                                 vw=state.vw + dv[2])
         except ValueError as exc:
@@ -345,7 +354,7 @@ def summarize_run(record, config=None):
     trap = config.trap
     tau = config.loop.sample_period
     sig = config.noise.offline_sigma
-    rng = np.random.default_rng(np.random.SeedSequence(record.scenario.seed).spawn(6)[5])
+    rng = seed_streams(record.scenario.seed).offline
     out = {"seed": record.scenario.seed, "feedback": record.scenario.feedback}
     for mode, omega, r_col, trap_col in (
         ("x", trap.omega_x, "x", "trap_x"),

@@ -275,26 +275,17 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
 
 
 class DelayLine:
-    """FIFO actuator queue realizing the measured loop latency.
+    """The loop latency as a shift register: ``pop_due`` returns the command
+    pushed ``samples`` pushes earlier, or the zero ActuatorVector before that."""
 
-    Commands become effective ``delay`` seconds after being pushed; at sample
-    boundaries this quantizes the loop's 960 us latency to exactly one 1 ms
-    sample.  ``pop_due`` returns every command due at time t, oldest first.
-    """
-
-    def __init__(self, delay):
-        if not delay >= 0:
-            raise ValueError("delay must be >= 0")
-        self.delay = delay
+    def __init__(self, samples):
+        if not samples >= 0:
+            raise ValueError(f"delay must be >= 0 samples, got {samples!r}")
+        self.samples = samples
         self._queue = deque()
 
-    def push(self, t, u):
-        if self._queue and not t + self.delay >= self._queue[-1][0] - 1e-12:
-            raise ValueError("commands must be pushed in time order")
-        self._queue.append((t + self.delay, u))
+    def push(self, u):
+        self._queue.append(u)
 
-    def pop_due(self, t):
-        due = []
-        while self._queue and self._queue[0][0] <= t + 1e-12:
-            due.append(self._queue.popleft()[1])
-        return due
+    def pop_due(self):
+        return self._queue.popleft() if len(self._queue) > self.samples else ActuatorVector()

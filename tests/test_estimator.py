@@ -329,18 +329,33 @@ class _FullFrameEstimator(InSituEstimator):
         rho -= rho[self.mask.background].mean()
         rho6 = rho**6
         mass = np.where(self.mask.atoms, rho6, 0.0).sum()
-        if self._mass_ref is None:
-            self._mass_ref = mass
-        if mass <= self.cfg.degenerate_mass_fraction * self._mass_ref:
+        if mass <= self.cfg.degenerate_mass_fraction * (self._mass_ref or mass):
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
             self.last = replace(self.last, degenerate=True)
             return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
+        self._mass_ref = self._mass_ref or mass
         self.last = MeasurementVector(x_hat=self.lp_x.update(x), z_hat=z,
                                       w_hat=self.lp_w.update(w_x), w_z_hat=w_z,
                                       x_raw=x, w_raw=w_x)
         return self.last
+
+
+@pytest.mark.parametrize("make", [InSituEstimator, _FullFrameEstimator],
+                         ids=["atom_box", "full_frame"])
+def test_rejected_first_frame_sets_no_mass_reference(make, grid, optics, flat_ref):
+    # the degenerate-frame reference is the first accepted frame's mass, so an
+    # overflowing frame 0 leaves the estimator as a fresh one
+    good = [_render(grid, optics, x0, 0.0) for x0 in (1e-6, 2e-6)]
+    bad = ImageGrid(grid, good[0].data.copy())
+    bad.data[grid.nz // 2, grid.nx // 2] = 1e200
+    est, fresh = make(grid), make(grid)
+    with pytest.raises(ValueError, match="degenerate"), np.errstate(over="ignore"):
+        est.process(bad, flat_ref, 0.0)
+    for i, frame in enumerate(good, start=1):
+        assert est.process(frame, flat_ref, i * 1e-3) == fresh.process(frame, flat_ref, i * 1e-3)
+    assert est._mass_ref == fresh._mass_ref
 
 
 @settings(max_examples=30, deadline=None)

@@ -140,21 +140,58 @@ def test_different_seed_changes_noise_not_structure():
     assert r1.config_hash != r2.config_hash  # seed participates in the hash
 
 
-def test_timing_fidelity_one_sample_delay():
-    # with feedback on, the first nonzero command appears one sample before
-    # its effect on the recorded trap position
+@pytest.mark.parametrize("delay, lag", [(0.0, 0), (960e-6, 1), (2.5e-3, 3)],
+                         ids=["0us", "960us", "2500us"])
+def test_timing_fidelity_delay_samples(delay, lag):
+    # with feedback on, the first nonzero command reaches the recorded trap
+    # position loop.delay_samples samples later: the delay rounded up
+    config = replace(NOISELESS, loop=LoopConfig(delay=delay))
+    assert config.loop.delay_samples == lag
     sc = Scenario(kind="dipole_kick", feedback=True, kick_time=0.005,
                   enable_time=0.010, duration=0.05, seed=5)
-    rec = run_experiment(sc, NOISELESS)
+    rec = run_experiment(sc, config)
     v_x = rec.column("v_x")
     trap_x = rec.column("trap_x")
     kick_i = int(round(sc.kick_time / 1e-3))
     first_cmd = int(np.flatnonzero(v_x != 0.0)[0])
     assert first_cmd >= int(round(sc.enable_time / 1e-3))
-    # the actuator contribution to trap_x starts exactly one sample later
     actuator_part = trap_x - np.where(np.arange(len(rec)) >= kick_i, sc.kick_dx, 0.0)
     first_effect = int(np.flatnonzero(np.abs(actuator_part) > 1e-15)[0])
-    assert first_effect == first_cmd + 1
+    assert first_effect == first_cmd + lag
+
+
+def test_seed_streams_are_the_seed_sequence_children_in_order():
+    # shot, hold, process, drift, spare, offline: children 0-5 of SeedSequence(seed)
+    streams = harness.seed_streams(11)
+    assert streams._fields == ("shot", "hold", "process", "drift", "spare", "offline")
+    for rng, child in zip(streams, np.random.SeedSequence(11).spawn(6)):
+        assert rng.random() == np.random.default_rng(child).random()
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.5e-3, 0.1e-3])
+@pytest.mark.parametrize("k", [0, 1, 3, 7])
+def test_delay_samples_at_whole_periods(tau, k):
+    # k periods, and k periods give or take 1e-13 s of rounding, are k samples
+    assert LoopConfig(sample_period=tau, delay=k * tau).delay_samples == k
+    assert LoopConfig(sample_period=tau, delay=k * tau + 1e-13).delay_samples == k
+    assert LoopConfig(sample_period=tau, delay=max(0.0, k * tau - 1e-13)).delay_samples == k
+    # a whole nanosecond either way is no rounding error
+    assert LoopConfig(sample_period=tau, delay=k * tau + 1e-9).delay_samples == k + 1
+    if k:
+        assert LoopConfig(sample_period=tau, delay=k * tau - 1e-9).delay_samples == k
+
+
+def test_absurd_delay_never_acts():
+    # 1e300 s at 1e-300 s per sample is no integer a float can hold: the
+    # commands still never act, and nothing overflows
+    config = ExperimentConfig(loop=LoopConfig(sample_period=1e-300, delay=1e300))
+    assert config.loop.delay_samples >= harness.MAX_RECORD_SAMPLES
+    rec = run_experiment(Scenario(kind="quiet", enable_time=0.0, duration=4e-300, seed=2),
+                         config)
+    assert len(rec) == 4
+    assert np.any(rec.column("v_z") != 0.0)  # shot noise makes commands
+    for col in ("trap_x", "trap_z", "domega_x_sq"):
+        assert np.all(rec.column(col) == 0.0)
 
 
 def test_loop_sample_period_reaches_every_filter(monkeypatch):
@@ -863,6 +900,7 @@ def test_config_r_x_names_the_key_that_sets_the_cloud_width():
     lambda: LoopConfig(sample_period=0.0),
     lambda: LoopConfig(sample_period=float("nan")),
     lambda: LoopConfig(delay=-1e-6),
+    lambda: LoopConfig(delay=math.inf),
 ])
 def test_loop_timing_and_filter_rules_hold_in_the_dataclasses(make):
     with pytest.raises(ValueError):

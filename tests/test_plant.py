@@ -268,30 +268,28 @@ def test_trap_config_validation():
 
 
 def test_delay_line_one_sample_quantization():
-    # 960 us latency at 1 ms sampling: effective exactly one sample later
-    dl = DelayLine(960e-6)
-    dl.push(0.0, ActuatorVector(v_x=1.0))
-    assert dl.pop_due(0.0) == []
-    due = dl.pop_due(1e-3)
-    assert len(due) == 1 and due[0].v_x == 1.0
+    # one sample of latency: a command is due at the next sample's pop
+    dl = DelayLine(1)
+    dl.push(ActuatorVector(v_x=1.0))
+    assert dl.pop_due() == ActuatorVector()
+    dl.push(ActuatorVector(v_x=2.0))
+    assert dl.pop_due() == ActuatorVector(v_x=1.0)
 
 
 def test_delay_line_zero_delay_same_sample():
-    dl = DelayLine(0.0)
-    dl.push(0.005, ActuatorVector(v_z=2.0))
-    due = dl.pop_due(0.005)
-    assert len(due) == 1 and due[0].v_z == 2.0
+    dl = DelayLine(0)
+    dl.push(ActuatorVector(v_z=2.0))
+    assert dl.pop_due() == ActuatorVector(v_z=2.0)
 
 
 def test_delay_line_fifo_order():
-    dl = DelayLine(960e-6)
-    dl.push(0.0, ActuatorVector(v_x=1.0))
-    dl.push(1e-3, ActuatorVector(v_x=2.0))
-    assert [u.v_x for u in dl.pop_due(1e-3)] == [1.0]
-    assert [u.v_x for u in dl.pop_due(2e-3)] == [2.0]
-    dl.push(2e-3, ActuatorVector(v_x=3.0))
-    dl.push(2e-3, ActuatorVector(v_x=4.0))
-    assert [u.v_x for u in dl.pop_due(10.0)] == [3.0, 4.0]
+    # three samples of latency: zeros while it fills, then the commands in order
+    dl = DelayLine(3)
+    due = []
+    for v in (1.0, 2.0, 3.0, 4.0, 5.0):
+        dl.push(ActuatorVector(v_x=v))
+        due.append(dl.pop_due().v_x)
+    assert due == [0.0, 0.0, 0.0, 1.0, 2.0]
 
 
 def test_perturb_transfer_matrix():
@@ -334,10 +332,3 @@ def _trap_set(**values):
 def test_plant_guards_reject_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()
-
-
-def test_delay_line_rejects_nan_push_time():
-    dl = DelayLine(0.0)
-    dl.push(0.0, ActuatorVector())
-    with pytest.raises(ValueError, match="time order"):
-        dl.push(NAN, ActuatorVector())
