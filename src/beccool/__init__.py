@@ -32,7 +32,6 @@ from .estimator import (
     RegionMask,
     density_estimate,
     extract_moments,
-    finite_difference,
     nonlinear_filter,
 )
 from .harness import (

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SAMPLE_PERIOD
-from .estimator import LowPass, finite_difference
+from .estimator import LowPass
 from .plant import ActuatorVector
 
 
@@ -131,7 +131,7 @@ class DerivativeController:
         if self.prev is None or t < self.enable_time:
             u = np.zeros(4)
         else:
-            u = self.k @ finite_difference(m, self.prev)
+            u = self.k @ (m - self.prev)
         self.prev = m
         sat = self.cfg.saturation
         if sat and self.cfg.clamp_before_filter:

@@ -167,11 +167,6 @@ class LowPass:
         return self.y
 
 
-def finite_difference(m_i, m_prev):
-    """Raw per-sample difference; the controller gain absorbs the 1/tau."""
-    return np.asarray(m_i, dtype=float) - np.asarray(m_prev, dtype=float)
-
-
 class InSituEstimator:
     """Stateful frame-to-measurement pipeline for one control loop."""
 

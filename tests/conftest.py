@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from beccool import GridSpec, OpticsParams, TrapConfig, phase_from_spectrum, tf_phase_spectrum
+from beccool import (
+    ExperimentConfig,
+    GridSpec,
+    NoiseConfig,
+    OpticsParams,
+    TrapConfig,
+    phase_from_spectrum,
+    tf_phase_spectrum,
+)
+
+# the default experiment with no shot noise and no reference fringes
+NOISELESS = ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0, reference_fringes=False))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,6 @@ import pytest
 from beccool import (
     ExperimentConfig,
     GridSpec,
-    NoiseConfig,
     OpticsParams,
     PhaseParams,
     Scenario,
@@ -45,14 +44,11 @@ from beccool import (
 )
 from beccool.constants import HBAR, RB87_MASS
 from beccool.estimator import RegionMask
-from conftest import band_limited_phase
+from conftest import NOISELESS, band_limited_phase
 
 TAU = 1e-3
 OMEGA_X = 2 * np.pi * 20.3
 OMEGA_Z = 2 * np.pi * 70.3
-
-NOISELESS = ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0,
-                                               reference_fringes=False))
 
 
 @pytest.fixture

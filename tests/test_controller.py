@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +9,17 @@ from beccool import (
     CalibrationError,
     ControllerConfig,
     DerivativeController,
+    LoopConfig,
     LowPass,
-    SignalVector,
+    Scenario,
     calibrate_gains,
-    equilibrium_state,
     loop_gain,
-    mode_energies,
     nominal_gain_matrix,
     nominal_transfer_matrix,
-    step,
+    run_experiment,
 )
+from beccool import harness
+from conftest import NOISELESS
 
 TAU = 1e-3
 
@@ -181,102 +185,77 @@ def test_calibrate_gains_singular_system():
         calibrate_gains(g, 1.0, 1.0, -8e9)
 
 
-# --- direct closed loop (perfect measurements, no imaging) ------------------
+# --- the closed loop: run_experiment on noiseless frames -------------------
 
 
-def run_direct_loop(trap, k, n=400, kick=SignalVector(dx_trap=-8e-6, dz_trap=-2.5e-6),
-                    w_offset=0.0, enable=0.020, x_cut=60.0, meas_sign=-1.0):
-    """Plant + controller with ideal (noiseless) measurements of (x, z, w)."""
-    g = nominal_transfer_matrix()
-    ctl = DerivativeController(k, enable)
-    lp_x = LowPass(x_cut, TAU)
-    lp_w = LowPass(100.0, TAU)
-    state = equilibrium_state(trap)
-    state.w += w_offset
-    held = np.zeros(4)
-    amps = {"x": [], "z": [], "w": []}
-    energies = {"x": [], "z": [], "w": []}
-    for i in range(n):
-        t = i * TAU
-        if i == 10 and kick is not None:
-            state.trap = state.trap + kick
-        m = np.array([lp_x.update(state.x), state.z, lp_w.update(state.w)])
-        u = ctl.step(meas_sign * m, t)
-        u_arr = u.as_array()
-        s = state.trap + SignalVector.from_array(g @ held)
-        e = mode_energies(state, trap)
-        for mode in amps:
-            energies[mode].append(e[mode])
-        amps["x"].append(np.hypot(state.x - state.trap.dx_trap,
-                                  state.vx / trap.omega_x))
-        amps["z"].append(np.hypot(state.z - state.trap.dz_trap,
-                                  state.vz / trap.omega_z))
-        amps["w"].append(np.hypot(state.w - trap.w_eq0, state.vw / trap.omega_q))
-        state = step(state, s, TAU, trap)
-        held = u_arr  # one-sample delay: applied from the next step on
-    return ({k2: np.array(v) for k2, v in amps.items()},
-            {k2: np.array(v) for k2, v in energies.items()})
+def _amplitudes(rec, trap):
+    """Per-mode oscillation amplitude about the record's own centres."""
+    c = rec.column
+    return {"x": np.hypot(c("x") - c("trap_x"), c("vx") / trap.omega_x),
+            "z": np.hypot(c("z") - c("trap_z"), c("vz") / trap.omega_z),
+            "w": np.hypot(c("w") - c("w_eq"), c("vw") / trap.omega_q)}
 
 
 def test_closed_loop_damps_all_three_modes(trap):
-    amps, _ = run_direct_loop(trap, nominal_gain_matrix(), n=500, w_offset=1.5e-6)
-    for mode, period in (("x", 1 / trap.f_x), ("z", 1 / trap.f_z),
-                         ("w", 2 * np.pi / trap.omega_q)):
+    # The default kick excites all three modes. Each decays near the sampled-loop
+    # rate: x 81.6 /s (~76 /s here, as the kick also stiffens the trap by 10 % in
+    # omega_x^2), z 30.3 /s, and w only 6.8 /s because dw_hat/dw is 0.125.
+    rec = run_experiment(Scenario(duration=0.5), NOISELESS)
+    assert not rec.column("degenerate").any()
+    amps = _amplitudes(rec, trap)
+    for mode, period, rate in (("x", 1 / trap.f_x, 81.6), ("z", 1 / trap.f_z, 30.3),
+                               ("w", 2 * np.pi / trap.omega_q, 6.8)):
         n_per = int(round(period / TAU))
         a = amps[mode]
-        # per-period envelope from feedback enable on: strictly decreasing
+        # per-period envelope from feedback enable on: strictly decreasing until
+        # it nears the noiseless estimator's floor (~1e-10 m on x and z)
         peaks = [a[i:i + n_per].max() for i in range(40, len(a) - n_per, n_per)]
-        assert all(p2 < p1 for p1, p2 in zip(peaks, peaks[1:])), mode
+        live = list(itertools.takewhile(lambda p: p > 1e-3 * peaks[0], peaks))
+        assert all(p2 < p1 for p1, p2 in zip(live, live[1:])), mode
         assert peaks[-1] < 0.5 * peaks[0], mode
-
-
-def test_closed_loop_settling_regression(trap):
-    # achievable settling at nominal gains: ~24% of the kick at +15 ms,
-    # below 10% within 35 ms of enable (regression-pinned)
-    amps, _ = run_direct_loop(trap, nominal_gain_matrix(),
-                              kick=SignalVector(dx_trap=-8e-6))
-    a = amps["x"]
-    assert np.max(a[35:] / 8e-6) <= 0.30
-    assert np.max(a[55:] / 8e-6) <= 0.10
+        fit = slice(40, 40 + len(live) * n_per)
+        decay = -np.polyfit(rec.column("t")[fit], np.log(a[fit]), 1)[0]
+        assert decay == pytest.approx(rate, rel=0.10), mode
 
 
 def test_wrong_measurement_sign_antidamps(trap):
-    # flipping the camera-axis convention turns the same gains into drive
-    amps, _ = run_direct_loop(trap, nominal_gain_matrix(), n=200, meas_sign=+1.0)
-    a = amps["x"]
-    assert a[150:].max() > a[15:40].max()
+    # flipping the camera-axis convention turns the same gains into drive; the
+    # record ends before the cloud leaves the atom region (at sample 64)
+    rec = run_experiment(Scenario(duration=0.060),
+                         replace(NOISELESS, loop=LoopConfig(meas_sign=+1.0)))
+    assert not rec.column("degenerate").any()
+    a = _amplitudes(rec, trap)["x"]
+    assert a[50:].max() > 2 * a[15:40].max()
 
 
-def _gain_scale_unstable(trap, scale):
-    k = nominal_gain_matrix().copy()
-    k[0, 0] *= scale
-    amps, _ = run_direct_loop(trap, k, n=600, kick=SignalVector(dx_trap=-2e-6))
-    a = amps["x"]
-    return a[-50:].max() > a[30:80].max()
+@pytest.mark.parametrize("delay, threshold", [(0.0, 10.157), (960e-6, 3.427)],
+                         ids=["0us", "960us"])
+def test_x_gain_instability_threshold(trap, monkeypatch, delay, threshold):
+    # K_xx scale above which an x kick grows instead of decaying, found by
+    # bisection on this loop: 10.157x nominal at zero delay, 3.427x at one
+    # sample; the loop is stable at 0.9x of it and unstable at 1.1x
+    def unstable(scale):
+        k = nominal_gain_matrix()
+        k[0, 0] *= scale
+        monkeypatch.setattr(harness, "nominal_gain_matrix", lambda: k)
+        sc = Scenario(kick_dx=-2e-6, kick_dz=0.0, kick_domega_frac=0.0, duration=0.3)
+        a = _amplitudes(run_experiment(sc, replace(NOISELESS, loop=LoopConfig(delay=delay))),
+                        trap)["x"]
+        return a[-50:].max() > a[30:80].max()
 
-
-def test_instability_threshold_bisection_regression(trap):
-    # locate the x-channel gain-scale instability boundary; the regression
-    # band brackets the value found at build time (~3.4x nominal)
-    lo, hi = 1.0, 6.0
-    assert not _gain_scale_unstable(trap, lo)
-    assert _gain_scale_unstable(trap, hi)
-    for _ in range(12):
-        mid = 0.5 * (lo + hi)
-        if _gain_scale_unstable(trap, mid):
-            hi = mid
-        else:
-            lo = mid
-    threshold = 0.5 * (lo + hi)
-    assert 2.8 <= threshold <= 4.1
+    assert not unstable(0.9 * threshold)
+    assert unstable(1.1 * threshold)
 
 
 def test_cross_coupling_bound_with_calibrated_gains(trap):
-    # zeroed sag coupling: a pure width excitation leaks almost nothing into
-    # the vertical dipole mode over 100 ms
-    g = nominal_transfer_matrix()
-    l_nom = loop_gain(g, nominal_gain_matrix())
-    k = calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
-    _, energies = run_direct_loop(trap, k, n=100, kick=None, w_offset=2e-6)
-    e_w0 = energies["w"][0]
-    assert energies["z"].max() <= 0.01 * e_w0
+    # zeroed sag coupling: after a resonant width drive, the width feedback
+    # leaks nothing into the vertical dipole mode over 100 ms; the nominal
+    # matrix's residual L_zw does leak, so the bound tells the two apart
+    sc = Scenario(kind="quadrupole_drive", duration=0.1)
+    leak = {}
+    for mode in ("calibrated", "nominal"):
+        amps = _amplitudes(run_experiment(sc, replace(NOISELESS, gain_mode=mode)), trap)
+        # max E_z over E_w at the start; a mode's energy goes as (omega * amplitude)^2
+        leak[mode] = (trap.omega_z * amps["z"].max() / (trap.omega_q * amps["w"][0])) ** 2
+    assert leak["calibrated"] <= 1e-12
+    assert leak["nominal"] > 1e-6

@@ -18,7 +18,6 @@ from beccool import (
     RegionMask,
     density_estimate,
     extract_moments,
-    finite_difference,
     linearized_image,
     make_reference,
     nonlinear_filter,
@@ -217,22 +216,6 @@ def test_lowpass_validation():
 def test_lowpass_rejects_nan(cutoff, period):
     with pytest.raises(ValueError, match="cutoff and sample period"):
         LowPass(cutoff, period)
-
-
-def test_finite_difference_trivials():
-    np.testing.assert_array_equal(finite_difference([1.0, 2.0], [1.0, 2.0]), [0.0, 0.0])
-    ramp = [finite_difference([3.0 * (i + 1)], [3.0 * i])[0] for i in range(5)]
-    np.testing.assert_allclose(ramp, 3.0)
-
-
-def test_finite_difference_sinusoid_taylor_bound():
-    omega, tau, a = 2 * np.pi * 20.3, 1e-3, 1.0
-    t = np.arange(200) * tau
-    m = a * np.sin(omega * t)
-    diffs = m[1:] - m[:-1]
-    # compare against the midpoint derivative: relative error O((omega tau)^2)
-    expect = a * omega * tau * np.cos(omega * (t[1:] - tau / 2))
-    assert np.max(np.abs(diffs - expect)) / (a * omega * tau) <= (omega * tau) ** 2 / 6
 
 
 def test_measurement_vector_validation():

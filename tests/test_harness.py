@@ -34,10 +34,9 @@ from beccool import (
 from beccool import harness
 from beccool.constants import RB87_MASS
 from beccool.harness import RECORD_COLUMNS, RunRecord, write_summary_json
+from conftest import NOISELESS
 
 QUICK = Scenario(kind="quiet", feedback=False, duration=0.05, seed=3)
-NOISELESS = ExperimentConfig(noise=NoiseConfig(photons_per_pixel=0.0,
-                                               reference_fringes=False))
 
 
 def short_config():
