@@ -55,14 +55,11 @@ from .optics import (
     OpticsParams,
     PhaseParams,
     add_shot_noise,
-    apply_resolution,
     fresnel_image,
     linearized_image,
     make_reference,
-    phase_from_spectrum,
     read_ascii_grid,
     tf_phase,
-    tf_phase_spectrum,
     write_ascii_grid,
     write_pgm16,
 )

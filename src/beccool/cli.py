@@ -54,10 +54,10 @@ def _load(args):
 
 def cmd_run(args):
     config, scenario = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     collect = harness.dump_frames_writer(os.path.join(args.out, "frames")) \
         if args.dump_frames else None
     record = harness.run_experiment(scenario, config, collect_frames=collect)
+    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"run_{scenario.seed}.csv")
     record.to_csv(csv_path)
     try:
@@ -79,10 +79,10 @@ def cmd_run(args):
 
 def cmd_ensemble(args):
     config, scenario = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     records, summaries, summary = harness.monte_carlo(
         scenario, config, n_runs=args.runs, base_seed=scenario.seed,
         parallel=args.parallel)
+    os.makedirs(args.out, exist_ok=True)
     harness.write_summary_json(summary, os.path.join(args.out, "ensemble.json"))
     harness.write_summary_csv(summaries, os.path.join(args.out, "ensemble.csv"))
     st = summary["stats"]
@@ -116,9 +116,8 @@ def cmd_analyze(args):
 def cmd_calibrate(args):
     config, _ = _load(args)
     if args.what == "gains":
-        g = nominal_transfer_matrix()
-        k = replace(config, gain_mode="calibrated").gain_matrix(g)
-        l_cal = loop_gain(g, k)
+        k = replace(config, gain_mode="calibrated").gain_matrix()
+        l_cal = loop_gain(nominal_transfer_matrix(), k)
         print("calibrated K (V/um):")
         for row in k:
             print("  " + " ".join(f"{v * 1e-6:+9.4f}" for v in row))

@@ -117,16 +117,18 @@ class ExperimentConfig:
                     f"{default!r}): the camera takes the cloud's x radius and centre from "
                     "the plant, whose width at rest is trap.w_eq0 (file key trap.w_eq0_m)")
 
-    def gain_matrix(self, g):
-        """The gain matrix K implied by gain_mode.
+    def gain_matrix(self):
+        """The gain matrix K implied by gain_mode, from the configuration alone.
 
-        'calibrated' solves for K against the run's actual transfer matrix at
-        the nominal per-channel loop-gain targets (exactly zeroed sag
-        coupling); 'nominal' uses the documented matrix verbatim.
+        'calibrated' solves for K against the nominal transfer matrix at its
+        per-channel loop-gain targets (nominal sag coupling zeroed), as an
+        experiment calibrates against the G it knows, not a run's drift;
+        'nominal' uses the documented matrix verbatim.
         """
         if self.gain_mode == "nominal":
             return nominal_gain_matrix()
-        l_nom = nominal_transfer_matrix() @ nominal_gain_matrix()
+        g = nominal_transfer_matrix()
+        l_nom = g @ nominal_gain_matrix()
         return calibrate_gains(g, l_nom[0, 0], l_nom[1, 1], l_nom[2, 2])
 
 
@@ -257,9 +259,10 @@ def run_experiment(scenario, config=None, collect_frames=None):
             "or lengthen loop.sample_period_s")
     rng = seed_streams(scenario.seed)
 
+    # the run's drifted G acts in the plant only; K never sees it
     g = perturb_transfer_matrix(nominal_transfer_matrix(), rng.drift,
                                 config.noise.g_drift_scale)
-    controller = DerivativeController(config.gain_matrix(g), scenario.enable_time,
+    controller = DerivativeController(config.gain_matrix(), scenario.enable_time,
                                       config.controller, tau)
     estimator = InSituEstimator(config.grid, config.estimator, sample_period=tau)
     shoot, reference = _camera(config, rng.shot)
@@ -483,13 +486,13 @@ def measure_pipeline_noise(config=None, n_frames=NOISE_PROBE_FRAMES, seed=0):
 
 
 def dump_frames_writer(out_dir):
-    """collect_frames callback writing every 10th frame in the ASCII format."""
+    """collect_frames callback writing every 10th frame in the ASCII format;
+    ``out_dir`` is made at the first write."""
     import os
-
-    os.makedirs(out_dir, exist_ok=True)
 
     def cb(i, frame):
         if i % 10 == 0:
+            os.makedirs(out_dir, exist_ok=True)
             write_ascii_grid(frame, os.path.join(out_dir, f"frame_{i:05d}.txt"))
 
     return cb

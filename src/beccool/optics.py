@@ -208,16 +208,6 @@ def _tf_spectrum_on(params, kx, kz, out=None):
     return np.multiply(amp, shift, out=shift)
 
 
-def tf_phase_spectrum(params, grid):
-    """Continuous Fourier transform of the TF phase on the full DFT grid."""
-    return _tf_spectrum_on(params, grid.kx, grid.kz)
-
-
-def phase_from_spectrum(spec, grid):
-    """Band-limited real-space phase from a continuous-FT sample (centered)."""
-    return ImageGrid(grid, np.fft.fftshift(np.fft.ifftn(spec, axes=(1, 0)).real) / grid.pitch**2)
-
-
 def fresnel_image(phase, opt):
     """Full shadowgraph intensity by Fourier-domain paraxial propagation.
 
@@ -295,13 +285,6 @@ def linearized_image(phase, opt):
     return ImageGrid(grid, 1.0 - opt.xi / opt.k * lap)
 
 
-def apply_resolution(field, opt):
-    """Gaussian-pupil blur exp(-eta^2 k^2) applied in the Fourier domain."""
-    grid = field.grid
-    ker = np.exp(-opt.eta**2 * grid.k_sq_half)
-    return ImageGrid(grid, np.fft.irfft2(ker * np.fft.rfft2(field.data), s=(grid.nz, grid.nx)))
-
-
 class FrameRenderer:
     """Fast alias-free renderer for the in-loop imaging chain.
 
@@ -327,9 +310,6 @@ class FrameRenderer:
                       / grid.pitch**2).astype(complex)
         self._spec = np.empty(k_sq.shape, complex)
         self._lap = np.empty((grid.nz, grid.nx))
-
-    def phase_spectrum(self, params):
-        return _tf_spectrum_on(params, self.grid.kx_half, self.grid.kz)
 
     def render(self, params):
         spec = _tf_spectrum_on(params, self.grid.kx_half, self.grid.kz, out=self._spec)

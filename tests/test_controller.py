@@ -9,13 +9,16 @@ from beccool import (
     CalibrationError,
     ControllerConfig,
     DerivativeController,
+    ExperimentConfig,
     LoopConfig,
     LowPass,
+    NoiseConfig,
     Scenario,
     calibrate_gains,
     loop_gain,
     nominal_gain_matrix,
     nominal_transfer_matrix,
+    perturb_transfer_matrix,
     run_experiment,
 )
 from beccool import harness
@@ -259,3 +262,18 @@ def test_cross_coupling_bound_with_calibrated_gains(trap):
         leak[mode] = (trap.omega_z * amps["z"].max() / (trap.omega_q * amps["w"][0])) ** 2
     assert leak["calibrated"] <= 1e-12
     assert leak["nominal"] > 1e-6
+
+
+def test_calibrated_gains_ignore_the_runs_drift():
+    # K is calibrated on the nominal G, as an experiment knows no better; the
+    # run's drawn G acts in the plant alone, so the sag coupling leaks again
+    drift = ExperimentConfig(gain_mode="calibrated", noise=NoiseConfig(g_drift_scale=0.05))
+    g = perturb_transfer_matrix(nominal_transfer_matrix(), harness.seed_streams(4).drift, 0.05)
+    record = run_experiment(Scenario(kind="quadrupole_drive", duration=0.1, seed=4), drift)
+    v = np.column_stack([record.column(c) for c in ("v_x", "v_z", "v_64", "v_90")])
+    assert np.any(v[:, 2:])
+    # the command of sample i acts from sample i + 1, through the drawn G
+    assert np.array_equal(record.column("trap_z")[1:], v[:-1] @ g[1])
+    k = drift.gain_matrix()
+    assert np.array_equal(k, ExperimentConfig(gain_mode="calibrated").gain_matrix())
+    assert abs(loop_gain(g, k)[1, 2]) > 0.1

@@ -1018,6 +1018,21 @@ def test_cli_record_over_the_cap_is_one_config_error(tmp_path, capsys, command, 
         assert key in payload["message"]
 
 
+@pytest.mark.parametrize("line", ["scenario.duration_s = 2000\n",
+                                  "estimator.region_halfwidth_px = 60\n"],
+                         ids=["record-over-the-cap", "atom-region-in-background"])
+@pytest.mark.parametrize("command", [["run", "--dump-frames"], ["ensemble", "--runs", "2"]],
+                         ids=["run", "ensemble"])
+def test_cli_config_failing_before_sample_0_leaves_no_out(tmp_path, capsys, command, line):
+    # the file loads, and the run rejects it before its first sample
+    cfgp = _write_quick_config(tmp_path)
+    cfgp.write_text(cfgp.read_text() + line)
+    out = tmp_path / "o"
+    assert cli.main(command + ["--config", str(cfgp), "--out", str(out)]) == 2
+    assert _single_config_error(capsys)["kind"] == "config"
+    assert not out.exists()
+
+
 def test_noise_probe_frame_default_shared_by_api_and_cli():
     api = inspect.signature(measure_pipeline_noise).parameters["n_frames"].default
     assert cli.build_parser().parse_args(["calibrate"]).frames == api
