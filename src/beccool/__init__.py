@@ -15,7 +15,7 @@ from .analysis import (
     sigma_from_bias,
     tof_variance,
 )
-from .constants import HBAR, RB87_D2_WAVELENGTH, RB87_MASS
+from .constants import HBAR, RB87_MASS
 from .controller import (
     CalibrationError,
     ControllerConfig,
@@ -64,12 +64,9 @@ from .optics import (
     write_pgm16,
 )
 from .plant import (
-    ActuatorVector,
     DelayLine,
     PlantState,
-    SignalVector,
     TrapConfig,
-    actuator_to_signal,
     dipole_kick,
     equilibrium_state,
     mode_energies,
@@ -77,7 +74,6 @@ from .plant import (
     perturb_transfer_matrix,
     quadrupole_drive,
     step,
-    width_equilibrium,
 )
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import numpy as np
 
 from .constants import SAMPLE_PERIOD
 from .estimator import LowPass
-from .plant import ActuatorVector
 
 
 class CalibrationError(RuntimeError):
@@ -115,6 +114,8 @@ class DerivativeController:
         self.k = np.asarray(k, dtype=float)
         if self.k.shape != (4, 3):
             raise ValueError("gain matrix must be 4x3")
+        if not np.all(np.isfinite(self.k)):
+            raise ValueError("gain matrix must be finite")
         self.enable_time = enable_time
         self.cfg = cfg or ControllerConfig()
         fc = self.cfg.output_cutoff_hz
@@ -122,12 +123,14 @@ class DerivativeController:
         self.prev = None
 
     def step(self, m, t):
-        """Consume the measurement for this sample and emit actuator voltages.
+        """Consume the measurement for this sample and emit the actuator
+        voltages u = (v_x, v_z, v_64, v_90), a new float array.
 
         ``m`` is the 3-component measurement in the controller's sign
-        convention; differencing makes any constant offset irrelevant.
+        convention; differencing makes any constant offset irrelevant.  The
+        controller keeps its own copy, so the caller may reuse ``m``.
         """
-        m = np.asarray(m, dtype=float)
+        m = np.array(m, dtype=float)
         if self.prev is None or t < self.enable_time:
             u = np.zeros(4)
         else:
@@ -141,5 +144,5 @@ class DerivativeController:
             u[3] = self._lp[1].update(u[3])
         if sat and not self.cfg.clamp_before_filter:
             u = np.clip(u, -sat, sat)
-        return ActuatorVector.from_array(u)
+        return u
 

@@ -33,11 +33,8 @@ from .optics import (
     write_ascii_grid,
 )
 from .plant import (
-    ActuatorVector,
     DelayLine,
-    SignalVector,
     TrapConfig,
-    actuator_to_signal,
     dipole_kick,
     equilibrium_state,
     nominal_transfer_matrix,
@@ -163,6 +160,9 @@ class Scenario:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not self.drive_periods >= 1:
             raise ValueError(f"drive_periods must be >= 1, got {self.drive_periods!r}")
+        for name in ("kick_dx", "kick_dz", "kick_domega_frac", "drive_amp_frac", "drive_freq"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.drive_freq >= 0:
             raise ValueError(f"drive_freq must be >= 0 (0 is resonant), got {self.drive_freq!r}")
 
@@ -286,9 +286,8 @@ def run_experiment(scenario, config=None, collect_frames=None):
         t = i * tau
         try:
             if scenario.kind == "dipole_kick" and i == kick_sample:
-                kick = SignalVector(scenario.kick_dx, scenario.kick_dz,
-                                    scenario.kick_domega_frac * trap.omega_x**2)
-                state = dipole_kick(state, kick)
+                state = dipole_kick(state, (scenario.kick_dx, scenario.kick_dz,
+                                            scenario.kick_domega_frac * trap.omega_x**2))
 
             frame = shoot(state)
             if collect_frames is not None:
@@ -297,16 +296,15 @@ def run_experiment(scenario, config=None, collect_frames=None):
             m = estimator.process(frame, reference, t)
 
             u = (controller.step(config.loop.meas_sign * m.as_array(), t)
-                 if scenario.feedback else ActuatorVector())
+                 if scenario.feedback else np.zeros(4))
             delay.push(u)
             held = delay.pop_due()
 
-            s_total = state.trap + actuator_to_signal(held, g)
+            s_total = state.trap + g @ held  # (dx_trap, dz_trap, domega_x_sq)
             rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
-                       s_total.dx_trap, s_total.dz_trap,
-                       s_total.domega_x_sq, width_equilibrium(trap, s_total.domega_x_sq),
+                       *s_total, width_equilibrium(trap, s_total[2]),
                        m.x_hat, m.z_hat, m.w_hat, m.x_raw, m.z_hat, m.w_raw, m.w_z_hat,
-                       u.v_x, u.v_z, u.v_64, u.v_90, m.degenerate)
+                       *u, m.degenerate)
 
             state = step(state, s_total, tau, trap)
             if config.noise.process_velocity_std:

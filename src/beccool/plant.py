@@ -66,56 +66,6 @@ class TrapConfig:
         return QUADRUPOLE_RATIO * self.omega_x
 
 
-@dataclass
-class ActuatorVector:
-    """The four control voltages: two steering piezos and two beam powers."""
-
-    v_x: float = 0.0
-    v_z: float = 0.0
-    v_64: float = 0.0
-    v_90: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise ValueError("actuator voltages must be finite")
-
-    def as_array(self):
-        return np.array([self.v_x, self.v_z, self.v_64, self.v_90], dtype=float)
-
-    @classmethod
-    def from_array(cls, u):
-        u = np.asarray(u, dtype=float)
-        if u.shape != (4,):
-            raise ValueError("actuator vector must have 4 components")
-        return cls(*u)
-
-
-@dataclass
-class SignalVector:
-    """Trap-parameter changes: center shifts (m) and x-curvature change ((rad/s)^2)."""
-
-    dx_trap: float = 0.0
-    dz_trap: float = 0.0
-    domega_x_sq: float = 0.0
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise ValueError("signal vector must be finite")
-
-    def as_array(self):
-        return np.array([self.dx_trap, self.dz_trap, self.domega_x_sq], dtype=float)
-
-    @classmethod
-    def from_array(cls, s):
-        s = np.asarray(s, dtype=float)
-        if s.shape != (3,):
-            raise ValueError("signal vector must have 3 components")
-        return cls(*s)
-
-    def __add__(self, other):
-        return SignalVector.from_array(self.as_array() + other.as_array())
-
-
 def nominal_transfer_matrix():
     """Nominal 3x4 open-loop transfer matrix from voltages to trap changes."""
     return np.array(
@@ -140,21 +90,14 @@ def perturb_transfer_matrix(g, rng, scale):
     return g
 
 
-def actuator_to_signal(u, g):
-    """Apply the open-loop transfer matrix: s = G u (exact linear map)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (3, 4):
-        raise ValueError("transfer matrix must be 3x4")
-    return SignalVector.from_array(g @ u.as_array())
-
-
 @dataclass
 class PlantState:
     """Mode coordinates/velocities plus the scenario trap offsets.
 
     ``w`` is the axial half-width of the condensate (strictly positive);
-    ``trap`` holds externally applied trap offsets (kicks, drives) on top of
-    which the harness adds per-sample actuator contributions.
+    ``trap`` is the float array (dx_trap, dz_trap, domega_x_sq) of externally
+    applied trap offsets (kicks, drives) on top of which the harness adds
+    per-sample actuator contributions.  It is never written in place.
     """
 
     x: float
@@ -163,7 +106,7 @@ class PlantState:
     vz: float
     w: float
     vw: float
-    trap: SignalVector
+    trap: np.ndarray
 
     def __post_init__(self):
         if not self.w > 0:
@@ -172,7 +115,7 @@ class PlantState:
 
 def equilibrium_state(cfg):
     """State at rest at the unperturbed trap equilibrium."""
-    return PlantState(x=0.0, vx=0.0, z=0.0, vz=0.0, w=cfg.w_eq0, vw=0.0, trap=SignalVector())
+    return PlantState(x=0.0, vx=0.0, z=0.0, vz=0.0, w=cfg.w_eq0, vw=0.0, trap=np.zeros(3))
 
 
 def width_equilibrium(cfg, domega_x_sq):
@@ -209,7 +152,8 @@ def _rotate_damped(r, v, center, omega, gamma, dt):
 
 
 def step(state, s, dt, cfg):
-    """Advance the plant by dt with trap offsets held constant at ``s``.
+    """Advance the plant by dt with trap offsets s = (dx_trap, dz_trap,
+    domega_x_sq) held constant.
 
     Dipole modes rotate about the shifted trap centers; the width mode rotates
     about its curvature-dependent equilibrium at omega_q = sqrt(5/2) omega_x,
@@ -218,23 +162,25 @@ def step(state, s, dt, cfg):
     """
     if not dt > 0:
         raise ValueError("step requires dt > 0")
-    wx_sq = cfg.omega_x**2 + s.domega_x_sq
+    dx_trap, dz_trap, domega_x_sq = s
+    wx_sq = cfg.omega_x**2 + domega_x_sq
     if not wx_sq > 0:
         raise ValueError(f"trap inverted: omega_x^2 + domega_x_sq = {wx_sq:.3e} <= 0")
     omega_x = np.sqrt(wx_sq)
     omega_q = QUADRUPOLE_RATIO * omega_x
 
-    x, vx = _rotate(state.x, state.vx, s.dx_trap, omega_x, dt)
-    z, vz = _rotate(state.z, state.vz, s.dz_trap, cfg.omega_z, dt)
+    x, vx = _rotate(state.x, state.vx, dx_trap, omega_x, dt)
+    z, vz = _rotate(state.z, state.vz, dz_trap, cfg.omega_z, dt)
     w, vw = _rotate_damped(
-        state.w, state.vw, width_equilibrium(cfg, s.domega_x_sq), omega_q,
+        state.w, state.vw, width_equilibrium(cfg, domega_x_sq), omega_q,
         cfg.width_damping, dt,
     )
     return PlantState(x=x, vx=vx, z=z, vz=vz, w=w, vw=vw, trap=state.trap)
 
 
 def dipole_kick(state, kick):
-    """Sudden trap-parameter change; mode coordinates are untouched."""
+    """Sudden trap-parameter change by the 3-sequence ``kick``; mode
+    coordinates are untouched."""
     return replace(state, trap=state.trap + kick)
 
 
@@ -243,13 +189,13 @@ def mode_energies(state, cfg):
 
     Energy is (1/2) m omega^2 (r - r_eq)^2 + (1/2) m v^2 for each mode.
     """
-    s = state.trap
+    dx_trap, dz_trap, domega_x_sq = state.trap
     m = RB87_MASS
-    wx_sq = cfg.omega_x**2 + s.domega_x_sq
+    wx_sq = cfg.omega_x**2 + domega_x_sq
     omega_q_sq = QUADRUPOLE_RATIO**2 * wx_sq
-    e_x = 0.5 * m * wx_sq * (state.x - s.dx_trap) ** 2 + 0.5 * m * state.vx**2
-    e_z = 0.5 * m * cfg.omega_z**2 * (state.z - s.dz_trap) ** 2 + 0.5 * m * state.vz**2
-    e_w = (0.5 * m * omega_q_sq * (state.w - width_equilibrium(cfg, s.domega_x_sq)) ** 2
+    e_x = 0.5 * m * wx_sq * (state.x - dx_trap) ** 2 + 0.5 * m * state.vx**2
+    e_z = 0.5 * m * cfg.omega_z**2 * (state.z - dz_trap) ** 2 + 0.5 * m * state.vz**2
+    e_w = (0.5 * m * omega_q_sq * (state.w - width_equilibrium(cfg, domega_x_sq)) ** 2
            + 0.5 * m * state.vw**2)
     return {"x": e_x, "z": e_z, "w": e_w}
 
@@ -269,14 +215,14 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
     t_rel = 0.0
     for _ in range(n_steps):
         mod = amplitude * np.sin(drive_freq * t_rel)
-        state = step(state, state.trap + SignalVector(0.0, 0.0, mod), dt, cfg)
+        state = step(state, state.trap + (0.0, 0.0, mod), dt, cfg)
         t_rel += dt
     return state
 
 
 class DelayLine:
     """The loop latency as a shift register: ``pop_due`` returns the command
-    pushed ``samples`` pushes earlier, or the zero ActuatorVector before that."""
+    pushed ``samples`` pushes earlier, or a fresh ``np.zeros(4)`` before that."""
 
     def __init__(self, samples):
         if not samples >= 0:
@@ -288,4 +234,4 @@ class DelayLine:
         self._queue.append(u)
 
     def pop_due(self):
-        return self._queue.popleft() if len(self._queue) > self.samples else ActuatorVector()
+        return self._queue.popleft() if len(self._queue) > self.samples else np.zeros(4)

@@ -56,11 +56,11 @@ def _control_update(m_i, m_prev, k, saturation=0.0):
 def test_control_update_paper_rows():
     k = nominal_gain_matrix()
     u = _control_update([1e-6, 0.0, 0.0], [0.0, 0.0, 0.0], k)
-    assert u.as_array() == pytest.approx([-0.82, 0.0, 0.0, 0.0], abs=1e-12)
+    assert u == pytest.approx([-0.82, 0.0, 0.0, 0.0], abs=1e-12)
     u = _control_update([0.0, 0.0, 1e-6], [0.0, 0.0, 0.0], k)
-    assert u.as_array() == pytest.approx([0.0, 0.0, -0.38, 0.16], abs=1e-12)
+    assert u == pytest.approx([0.0, 0.0, -0.38, 0.16], abs=1e-12)
     u = _control_update([3.0, -1.0, 2.0], [3.0, -1.0, 2.0], k)
-    assert np.all(u.as_array() == 0.0)
+    assert np.all(u == 0.0)
 
 
 def test_controller_saturation_clamp():
@@ -68,9 +68,9 @@ def test_controller_saturation_clamp():
     k = np.zeros((4, 3))
     k[:, 0] = [12.0, -11.0, 3.0, -2.0]
     u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k, saturation=10.0)
-    assert u.as_array() == pytest.approx([10.0, -10.0, 3.0, -2.0])
+    assert u == pytest.approx([10.0, -10.0, 3.0, -2.0])
     u = _control_update([1.0, 0.0, 0.0], [0.0, 0.0, 0.0], k)  # default 0: no clamp
-    assert u.as_array() == pytest.approx([12.0, -11.0, 3.0, -2.0])
+    assert u == pytest.approx([12.0, -11.0, 3.0, -2.0])
 
 
 @pytest.mark.parametrize("bad", [dict(saturation=-1.0), dict(output_cutoff_hz=-5.0),
@@ -85,15 +85,18 @@ def test_controller_config_rejects_non_positive_output_stage(bad):
 def test_controller_gain_matrix_must_be_4x3():
     with pytest.raises(ValueError, match="4x3"):
         DerivativeController(np.zeros((3, 4)), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        DerivativeController(np.where(nominal_gain_matrix() == 0, np.nan, nominal_gain_matrix()),
+                             0.0)
 
 
 def test_controller_enable_gating_and_zero_decay():
     ctl = DerivativeController(nominal_gain_matrix(), 0.004)
     for i in range(4):
         u = ctl.step([1e-6 * i, 0, 0], i * TAU)
-        assert np.all(u.as_array() == 0.0)  # disabled: zero vector
+        assert np.all(u == 0.0)  # disabled: zero vector
     u = ctl.step([5e-6, 0, 0], 4 * TAU)     # first enabled step uses prev sample
-    assert u.v_x == pytest.approx(-0.82e6 * (5e-6 - 3e-6))
+    assert u[0] == pytest.approx(-0.82e6 * (5e-6 - 3e-6))
 
 
 def test_controller_output_filter_on_power_channels_only():
@@ -101,12 +104,12 @@ def test_controller_output_filter_on_power_channels_only():
     ctl.step([0.0, 0.0, 0.0], 0.0)
     u = ctl.step([0.0, 0.0, 1e-6], TAU)
     alpha = LowPass(100.0, TAU).alpha
-    assert u.v_64 == pytest.approx(-0.38 * alpha)   # filtered
-    assert u.v_90 == pytest.approx(0.16 * alpha)
+    assert u[2] == pytest.approx(-0.38 * alpha)   # filtered
+    assert u[3] == pytest.approx(0.16 * alpha)
     # measurement now constant: raw output returns to zero, filter decays
     u2 = ctl.step([0.0, 0.0, 1e-6], 2 * TAU)
-    assert u2.v_64 == pytest.approx((1 - alpha) * u.v_64)
-    assert abs(u2.v_64) < abs(u.v_64)
+    assert u2[2] == pytest.approx((1 - alpha) * u[2])
+    assert abs(u2[2]) < abs(u[2])
 
 
 def test_controller_derivative_only_offset_invariance():
@@ -115,7 +118,7 @@ def test_controller_derivative_only_offset_invariance():
     outs = []
     for offset in (0.0, 17e-6):
         ctl = DerivativeController(nominal_gain_matrix(), 0.0)
-        outs.append(np.array([ctl.step(m + offset, i * TAU).as_array()
+        outs.append(np.array([ctl.step(m + offset, i * TAU)
                               for i, m in enumerate(record)]))
     # identical up to the rounding of the offset subtraction itself
     np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9, atol=1e-12)
@@ -135,8 +138,18 @@ def test_controller_offset_invariance_property(record, offset, cfg):
     outs = []
     for c in (np.zeros(3), np.array(offset)):
         ctl = DerivativeController(nominal_gain_matrix(), 2 * TAU, cfg)
-        outs.append([ctl.step(np.array(m) + c, i * TAU).as_array() for i, m in enumerate(record)])
+        outs.append([ctl.step(np.array(m) + c, i * TAU) for i, m in enumerate(record)])
     assert np.array_equal(outs[0], outs[1])
+
+
+def test_controller_differences_against_its_own_copy_of_the_last_measurement():
+    # a caller that writes the next measurement into the array it passed last
+    # sample still gets u = K (m_i - m_prev)
+    ctl = DerivativeController(nominal_gain_matrix(), 0.0, ControllerConfig(output_cutoff_hz=0.0))
+    m = np.zeros(3)
+    ctl.step(m, 0.0)
+    m[:] = [1e-6, 0.0, 0.0]
+    assert ctl.step(m, TAU) == pytest.approx([-0.82, 0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_controller_saturation_orders():
@@ -144,13 +157,13 @@ def test_controller_saturation_orders():
     ctl = DerivativeController(nominal_gain_matrix(), 0.0, cfg)
     ctl.step([0, 0, 0], 0.0)
     u = ctl.step([10e-6, 0, 0], TAU)
-    assert u.v_x == -0.5  # clamped
+    assert u[0] == -0.5  # clamped
     cfg2 = ControllerConfig(saturation=0.5, clamp_before_filter=True)
     ctl2 = DerivativeController(nominal_gain_matrix(), 0.0, cfg2)
     ctl2.step([0, 0, 0], 0.0)
     u2 = ctl2.step([0, 0, 10e-6], TAU)
     alpha = LowPass(100.0, TAU).alpha
-    assert u2.v_64 == pytest.approx(-0.5 * alpha)  # clamp applied pre-filter
+    assert u2[2] == pytest.approx(-0.5 * alpha)  # clamp applied pre-filter
 
 
 def test_calibrate_gains_recovers_documented_matrix():

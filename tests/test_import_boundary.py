@@ -5,9 +5,15 @@ Loop processes (runs, ensembles, their workers) never fit, and the loop's FFTs
 are numpy's, so `import beccool` and the loop itself must leave every `scipy`
 module unloaded.  They leave `concurrent.futures` and `multiprocessing`
 unloaded too: only `monte_carlo(parallel=True)` imports the pool.
+
+The package's own import list is bounded too: every name `beccool` exports is
+used by a test, a demo or the CLI.
 """
 
+import ast
+import glob
 import os
+import re
 import subprocess
 import sys
 
@@ -70,3 +76,21 @@ def test_loop_samples_load_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_package_export_is_used_by_tests_demos_or_the_cli():
+    # a public name is kept only while a test, a demo or the CLI needs it
+    package = os.path.dirname(os.path.abspath(beccool.__file__))
+    with open(os.path.join(package, "__init__.py")) as f:
+        exported = {alias.asname or alias.name for node in ast.parse(f.read()).body
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+    here = os.path.abspath(__file__)
+    users = [path for path in glob.glob(os.path.join(os.path.dirname(here), "*.py"))
+             if os.path.abspath(path) != here]
+    users += glob.glob(os.path.join(os.path.dirname(os.path.dirname(here)), "demos", "*.py"))
+    users.append(os.path.join(package, "cli.py"))
+    text = ""
+    for path in users:
+        with open(path) as f:
+            text += f.read()
+    assert sorted(n for n in exported if not re.search(rf"\b{re.escape(n)}\b", text)) == []

@@ -3,12 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from beccool import (
-    ActuatorVector,
     DelayLine,
     PlantState,
-    SignalVector,
     TrapConfig,
-    actuator_to_signal,
     dipole_kick,
     equilibrium_state,
     mode_energies,
@@ -34,42 +31,45 @@ def test_transfer_matrix_nominal_values():
     assert np.count_nonzero(g) == 6
 
 
-def test_actuator_to_signal_unit_piezo():
-    s = actuator_to_signal(ActuatorVector(v_x=1.0), nominal_transfer_matrix())
-    assert s.dx_trap == pytest.approx(-14.4e-6)
-    assert s.dz_trap == 0.0
-    assert s.domega_x_sq == 0.0
+# s = G u: voltages u = (v_x, v_z, v_64, v_90) to trap offsets s = (dx_trap,
+# dz_trap, domega_x_sq), the product the loop forms every sample
 
 
-def test_actuator_to_signal_zero():
-    s = actuator_to_signal(ActuatorVector(), nominal_transfer_matrix())
-    assert np.all(s.as_array() == 0.0)
+def test_transfer_matrix_unit_piezo():
+    dx_trap, dz_trap, domega_x_sq = nominal_transfer_matrix() @ [1.0, 0.0, 0.0, 0.0]
+    assert dx_trap == pytest.approx(-14.4e-6)
+    assert dz_trap == 0.0
+    assert domega_x_sq == 0.0
 
 
-def test_actuator_to_signal_power_channels():
+def test_transfer_matrix_zero():
+    s = nominal_transfer_matrix() @ np.zeros(4)
+    assert np.all(s == 0.0)
+
+
+def test_transfer_matrix_power_channels():
     # hand multiply of the nominal matrix: 0.5 V on each power channel
-    s = actuator_to_signal(ActuatorVector(v_64=0.5, v_90=0.5), nominal_transfer_matrix())
-    assert s.dx_trap == 0.0
-    assert s.dz_trap == pytest.approx(0.5 * 33e-6 + 0.5 * 77e-6)  # 55 um
-    assert s.domega_x_sq == pytest.approx(
+    dx_trap, dz_trap, domega_x_sq = nominal_transfer_matrix() @ [0.0, 0.0, 0.5, 0.5]
+    assert dx_trap == 0.0
+    assert dz_trap == pytest.approx(0.5 * 33e-6 + 0.5 * 77e-6)  # 55 um
+    assert domega_x_sq == pytest.approx(
         0.5 * (2 * np.pi * 26.7) ** 2 + 0.5 * (2 * np.pi * 19.9) ** 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_actuator_to_signal_linearity(seed):
+def test_transfer_matrix_linearity(seed):
     rng = np.random.default_rng(seed)
     g = nominal_transfer_matrix()
     u1, u2 = rng.normal(size=4), rng.normal(size=4)
     a, b = rng.normal(size=2)
-    lhs = actuator_to_signal(ActuatorVector.from_array(a * u1 + b * u2), g).as_array()
-    rhs = (a * actuator_to_signal(ActuatorVector.from_array(u1), g).as_array()
-           + b * actuator_to_signal(ActuatorVector.from_array(u2), g).as_array())
+    lhs = g @ (a * u1 + b * u2)
+    rhs = a * (g @ u1) + b * (g @ u2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
 
 def test_step_equilibrium_fixed_point(trap):
     state = equilibrium_state(trap)
-    out = step(state, SignalVector(), 0.0371, trap)
+    out = step(state, np.zeros(3), 0.0371, trap)
     assert out.x == pytest.approx(state.x, abs=1e-18)
     assert out.vx == pytest.approx(0.0, abs=1e-18)
     assert out.w == pytest.approx(state.w)
@@ -81,7 +81,7 @@ def test_step_quarter_period(trap):
     state = equilibrium_state(trap)
     state.x = a
     quarter = 2 * np.pi / trap.omega_x / 4
-    out = step(state, SignalVector(), quarter, trap)
+    out = step(state, np.zeros(3), quarter, trap)
     assert out.x == pytest.approx(0.0, abs=1e-18 + 1e-12 * a)
     assert out.vx == pytest.approx(-a * trap.omega_x, rel=1e-12)
 
@@ -91,7 +91,7 @@ def test_step_full_period_roundtrip(trap):
     state = equilibrium_state(trap)
     state.x, state.vx = state.x + a, 0.004
     period = 2 * np.pi / trap.omega_x
-    out = step(state, SignalVector(), period, trap)
+    out = step(state, np.zeros(3), period, trap)
     assert out.x == pytest.approx(state.x, rel=1e-12)
     assert out.vx == pytest.approx(state.vx, rel=1e-12)
 
@@ -99,15 +99,15 @@ def test_step_full_period_roundtrip(trap):
 def test_step_rejects_bad_dt(trap):
     state = equilibrium_state(trap)
     with pytest.raises(ValueError):
-        step(state, SignalVector(), 0.0, trap)
+        step(state, np.zeros(3), 0.0, trap)
     with pytest.raises(ValueError):
-        step(state, SignalVector(), -1e-3, trap)
+        step(state, np.zeros(3), -1e-3, trap)
 
 
 def test_step_rejects_inverted_trap(trap):
     state = equilibrium_state(trap)
     with pytest.raises(ValueError, match="inverted"):
-        step(state, SignalVector(domega_x_sq=-1.1 * trap.omega_x**2), TAU, trap)
+        step(state, (0.0, 0.0, -1.1 * trap.omega_x**2), TAU, trap)
 
 
 def test_energy_conservation_150ms(trap):
@@ -134,7 +134,7 @@ _MM_PER_S = st.floats(-1e-3, 1e-3)
 def test_energy_conservation_property(trap, x, vx, z, vz, dw, vw, dx_trap, dz_trap, domega_frac):
     # open loop under any held trap offsets: each mode's energy stays put, to
     # 1e-9 of itself or 1e-12 of the energy of a 10 um x oscillation
-    offsets = SignalVector(dx_trap, dz_trap, domega_frac * trap.omega_x**2)
+    offsets = np.array([dx_trap, dz_trap, domega_frac * trap.omega_x**2])
     state = PlantState(x=x, vx=vx, z=z, vz=vz, w=trap.w_eq0 + dw, vw=vw, trap=offsets)
     e0 = mode_energies(state, trap)
     for _ in range(100):
@@ -145,15 +145,38 @@ def test_energy_conservation_property(trap, x, vx, z, vz, dw, vw, dx_trap, dz_tr
         assert e1[mode] == pytest.approx(e0[mode], rel=1e-9, abs=floor)
 
 
+_OFFSETS = st.tuples(_UM, _UM, st.floats(-0.4, 0.4))  # dx_trap, dz_trap, domega fraction
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_UM, vx=_MM_PER_S, z=_UM, vz=_MM_PER_S, dw=st.floats(-5e-6, 5e-6), vw=_MM_PER_S,
+       offsets=_OFFSETS, applied=_OFFSETS, amp_frac=st.floats(-0.4, 0.4),
+       freq=st.floats(100.0, 2000.0))
+def test_plant_calls_leave_the_input_trap_array_unchanged(trap, x, vx, z, vz, dw, vw, offsets,
+                                                          applied, amp_frac, freq):
+    # trap offsets are plain arrays shared between states: no call writes into them
+    def as_trap(o):
+        return np.array([o[0], o[1], o[2] * trap.omega_x**2])
+
+    state = PlantState(x=x, vx=vx, z=z, vz=vz, w=trap.w_eq0 + dw, vw=vw, trap=as_trap(offsets))
+    before = state.trap.tobytes()
+    s = as_trap(applied)
+    step(state, s, TAU, trap)
+    dipole_kick(state, s)
+    quadrupole_drive(state, amp_frac * trap.omega_x**2, freq, 1, trap, dt=TAU)
+    assert state.trap.tobytes() == before
+    assert s.tobytes() == as_trap(applied).tobytes()
+
+
 def test_dipole_kick_zero_is_noop(trap):
     state = equilibrium_state(trap)
-    out = dipole_kick(state, SignalVector())
-    assert out.x == state.x and out.trap.as_array() == pytest.approx([0, 0, 0])
+    out = dipole_kick(state, np.zeros(3))
+    assert out.x == state.x and out.trap == pytest.approx([0, 0, 0])
 
 
 def test_dipole_kick_oscillation_amplitude_and_frequency(trap):
     # -8 um trap shift on a resting cloud: 8 um oscillation at f_x
-    state = dipole_kick(equilibrium_state(trap), SignalVector(dx_trap=-8e-6))
+    state = dipole_kick(equilibrium_state(trap), (-8e-6, 0.0, 0.0))
     assert state.x == 0.0  # coordinates untouched by the kick
     xs, amps = [], []
     center = -8e-6
@@ -170,7 +193,7 @@ def test_dipole_kick_oscillation_amplitude_and_frequency(trap):
 
 
 def test_dipole_kick_half_period_mirror(trap):
-    state = dipole_kick(equilibrium_state(trap), SignalVector(dx_trap=-8e-6))
+    state = dipole_kick(equilibrium_state(trap), (-8e-6, 0.0, 0.0))
     half = np.pi / trap.omega_x
     out = step(state, state.trap, half, trap)
     assert out.x == pytest.approx(-16e-6, rel=1e-12)
@@ -180,7 +203,7 @@ def test_kick_equivalence_comoving_frame(trap):
     # trap shift of +delta with atoms at rest == atoms displaced -delta,
     # compared in the frames of their respective equilibria
     delta = 3.7e-6
-    s_kicked = dipole_kick(equilibrium_state(trap), SignalVector(dx_trap=delta))
+    s_kicked = dipole_kick(equilibrium_state(trap), (delta, 0.0, 0.0))
     s_moved = equilibrium_state(trap)
     s_moved.x -= delta
     for _ in range(120):
@@ -270,16 +293,16 @@ def test_trap_config_validation():
 def test_delay_line_one_sample_quantization():
     # one sample of latency: a command is due at the next sample's pop
     dl = DelayLine(1)
-    dl.push(ActuatorVector(v_x=1.0))
-    assert dl.pop_due() == ActuatorVector()
-    dl.push(ActuatorVector(v_x=2.0))
-    assert dl.pop_due() == ActuatorVector(v_x=1.0)
+    dl.push(np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(dl.pop_due(), np.zeros(4))
+    dl.push(np.array([2.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(dl.pop_due(), [1.0, 0.0, 0.0, 0.0])
 
 
 def test_delay_line_zero_delay_same_sample():
     dl = DelayLine(0)
-    dl.push(ActuatorVector(v_z=2.0))
-    assert dl.pop_due() == ActuatorVector(v_z=2.0)
+    dl.push(np.array([0.0, 2.0, 0.0, 0.0]))
+    assert np.array_equal(dl.pop_due(), [0.0, 2.0, 0.0, 0.0])
 
 
 def test_delay_line_fifo_order():
@@ -287,9 +310,25 @@ def test_delay_line_fifo_order():
     dl = DelayLine(3)
     due = []
     for v in (1.0, 2.0, 3.0, 4.0, 5.0):
-        dl.push(ActuatorVector(v_x=v))
-        due.append(dl.pop_due().v_x)
+        dl.push(np.array([v, 0.0, 0.0, 0.0]))
+        due.append(dl.pop_due()[0])
     assert due == [0.0, 0.0, 0.0, 1.0, 2.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=st.integers(0, 3),
+       commands=st.lists(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4), max_size=8))
+def test_delay_line_pops_survive_writes_into_earlier_pops(samples, commands):
+    # a caller may write into the array it popped; later pops are unaffected
+    dl, due = DelayLine(samples), []
+    for u in commands:
+        dl.push(np.array(u))
+        popped = dl.pop_due()
+        due.append(popped.copy())
+        popped[:] = np.nan
+    expected = [np.zeros(4)] * min(samples, len(commands)) + [np.array(u) for u in commands]
+    for got, want in zip(due, expected):
+        assert np.array_equal(got, want)
 
 
 def test_perturb_transfer_matrix():
@@ -316,11 +355,11 @@ def _trap_set(**values):
 @pytest.mark.parametrize("call, match", [
     (lambda: TrapConfig(w_eq0=NAN), "equilibrium width"),
     (lambda: TrapConfig(width_damping=NAN), "width damping rate"),
-    (lambda: PlantState(0.0, 0.0, 0.0, 0.0, NAN, 0.0, SignalVector()), "width-mode"),
-    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), NAN, TrapConfig()), "dt > 0"),
-    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), TAU, _trap_set(f_x=NAN)),
+    (lambda: PlantState(0.0, 0.0, 0.0, 0.0, NAN, 0.0, np.zeros(3)), "width-mode"),
+    (lambda: step(equilibrium_state(TrapConfig()), np.zeros(3), NAN, TrapConfig()), "dt > 0"),
+    (lambda: step(equilibrium_state(TrapConfig()), np.zeros(3), TAU, _trap_set(f_x=NAN)),
      "inverted"),
-    (lambda: step(equilibrium_state(TrapConfig()), SignalVector(), TAU,
+    (lambda: step(equilibrium_state(TrapConfig()), np.zeros(3), TAU,
                   _trap_set(width_damping=NAN)), "below the mode frequency"),
     (lambda: quadrupole_drive(equilibrium_state(TrapConfig()), 1.0, 100.0, NAN, TrapConfig()),
      "n_periods"),
