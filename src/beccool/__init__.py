@@ -28,7 +28,6 @@ from .estimator import (
     EstimatorConfig,
     InSituEstimator,
     LowPass,
-    MeasurementVector,
     RegionMask,
     density_estimate,
     extract_moments,

@@ -1,44 +1,21 @@
 """Real-time in-situ pipeline: reference division, regularized inverse
-Laplacian, background-offset removal, the rho^6 nonlinear filter, moment
-extraction, digital low-pass filtering and finite differences.
+Laplacian, background-offset removal, the rho^6 nonlinear filter and moment
+extraction, plus the first-order low-pass filter the loop runs on them.
 
-The pipeline is deterministic: an identical frame and identical filter state
-always produce the identical measurement.
+The pipeline is deterministic: an identical frame and identical estimator
+state always produce the identical moments.
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .constants import SAMPLE_PERIOD
 from .optics import ImageGrid
 
-
-@dataclass
-class MeasurementVector:
-    """Real-time estimates: positions, width, plus the uncontrolled z width.
-
-    The feedback path reads x_hat and w_hat low-pass filtered, z_hat unfiltered;
-    x_raw and w_raw are the frame's own moments before the filters.
-    """
-
-    x_hat: float = 0.0
-    z_hat: float = 0.0
-    w_hat: float = 0.0
-    w_z_hat: float = 0.0
-    x_raw: float = 0.0
-    w_raw: float = 0.0
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.x_hat, self.z_hat, self.w_hat, self.x_raw, self.w_raw])):
-            raise ValueError("measurement must be finite")
-        if not (self.w_hat >= 0 and self.w_raw >= 0):
-            raise ValueError("width estimate must be >= 0")
-
-    def as_array(self):
-        return np.array([self.x_hat, self.z_hat, self.w_hat])
+# one frame's raw moments; a degenerate frame repeats the last accepted ones
+Moments = namedtuple("Moments", "x z w_x w_z degenerate")
 
 
 @dataclass
@@ -98,7 +75,11 @@ class RegionMask:
         mz, mx = int(margin_frac * grid.nz), int(margin_frac * grid.nx)
         background = np.ones((grid.nz, grid.nx), dtype=bool)
         background[mz:-mz, mx:-mx] = False
-        return cls(atoms=atoms, background=background)
+        try:
+            return cls(atoms=atoms, background=background)
+        except ValueError as exc:  # the two config values set both regions
+            raise ValueError(f"{exc}: estimator.region_halfwidth_px = {halfwidth_px!r} with "
+                             f"estimator.background_margin_frac = {margin_frac!r}") from None
 
 
 def density_estimate(frame, reference, mask):
@@ -168,21 +149,19 @@ class LowPass:
 
 
 class InSituEstimator:
-    """Stateful frame-to-measurement pipeline for one control loop."""
+    """Stateful frame-to-moments pipeline for one control loop."""
 
-    def __init__(self, grid, cfg=None, sample_period=SAMPLE_PERIOD):
+    def __init__(self, grid, cfg=None):
         self.grid = grid
         self.cfg = cfg or EstimatorConfig()
         self.mask = RegionMask.centered(
             grid, self.cfg.region_halfwidth_px, self.cfg.background_margin_frac
         )
-        self.lp_x = LowPass(self.cfg.x_cutoff_hz, sample_period)
-        self.lp_w = LowPass(self.cfg.w_cutoff_hz, sample_period)
         self.last = None
         self._mass_ref = None
 
     def process(self, frame, reference, t):
-        """One frame through the whole pipeline; returns the feedback measurement."""
+        """One frame through the whole pipeline; returns its ``Moments``."""
         rho = density_estimate(frame, reference, self.mask)
         # the moments read only the atom region, a rectangle: filter a
         # contiguous copy of it (the same pow loop as on a whole frame) and
@@ -194,16 +173,9 @@ class InSituEstimator:
         if mass <= self.cfg.degenerate_mass_fraction * (self._mass_ref or mass):
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
-            self.last = replace(self.last, degenerate=True)
+            self.last = self.last._replace(degenerate=True)
             return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
         self._mass_ref = self._mass_ref or mass  # the first accepted frame's
-        self.last = MeasurementVector(
-            x_hat=self.lp_x.update(x),
-            z_hat=z,  # no filter on z: extra delay would degrade its loop
-            w_hat=self.lp_w.update(w_x),
-            w_z_hat=w_z,
-            x_raw=x,
-            w_raw=w_x,
-        )
+        self.last = Moments(x, z, w_x, w_z, False)
         return self.last

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .constants import SAMPLE_PERIOD
 from .controller import ControllerConfig, DerivativeController, calibrate_gains, nominal_gain_matrix
-from .estimator import EstimatorConfig, InSituEstimator
+from .estimator import EstimatorConfig, InSituEstimator, LowPass
 from .optics import (
     DEFAULT_FRINGES,
     FrameRenderer,
@@ -65,8 +65,8 @@ class NoiseConfig:
     def __post_init__(self):
         for name in ("photons_per_pixel", "offline_sigma", "process_velocity_std",
                      "g_drift_scale"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -241,9 +241,10 @@ def run_experiment(scenario, config=None, collect_frames=None):
     """One deterministic closed-loop run.
 
     Per sample: synthesize the camera frame from the plant state, add shot
-    noise, run the in-situ pipeline, apply the control law (when enabled),
-    queue the command in the delay line, and advance the plant one sample with
-    the command due: the one from sample i acts from sample i +
+    noise, run the in-situ pipeline, low-pass filter its x and w moments (a
+    degenerate frame updates neither filter), apply the control law (when
+    enabled), queue the command in the delay line, and advance the plant one
+    sample with the command due: the one from sample i acts from sample i +
     ``config.loop.delay_samples`` (i+1 at the default 960 us, i at zero delay).
     A scenario that could run past MAX_RECORD_SAMPLES raises ValueError
     before anything is built.
@@ -264,7 +265,11 @@ def run_experiment(scenario, config=None, collect_frames=None):
                                 config.noise.g_drift_scale)
     controller = DerivativeController(config.gain_matrix(), scenario.enable_time,
                                       config.controller, tau)
-    estimator = InSituEstimator(config.grid, config.estimator, sample_period=tau)
+    estimator = InSituEstimator(config.grid, config.estimator)
+    # the feedback reads x and w low-pass filtered, z not: extra delay would
+    # degrade its loop
+    lp_x = LowPass(config.estimator.x_cutoff_hz, tau)
+    lp_w = LowPass(config.estimator.w_cutoff_hz, tau)
     shoot, reference = _camera(config, rng.shot)
     delay = DelayLine(config.loop.delay_samples)
 
@@ -294,8 +299,10 @@ def run_experiment(scenario, config=None, collect_frames=None):
                 collect_frames(i, frame)
 
             m = estimator.process(frame, reference, t)
+            if not m.degenerate:  # a held frame repeats the last filtered values
+                x_hat, w_hat = lp_x.update(m.x), lp_w.update(m.w_x)
 
-            u = (controller.step(config.loop.meas_sign * m.as_array(), t)
+            u = (controller.step(config.loop.meas_sign * np.array([x_hat, m.z, w_hat]), t)
                  if scenario.feedback else np.zeros(4))
             delay.push(u)
             held = delay.pop_due()
@@ -303,7 +310,7 @@ def run_experiment(scenario, config=None, collect_frames=None):
             s_total = state.trap + g @ held  # (dx_trap, dz_trap, domega_x_sq)
             rows[i] = (t, state.x, state.vx, state.z, state.vz, state.w, state.vw,
                        *s_total, width_equilibrium(trap, s_total[2]),
-                       m.x_hat, m.z_hat, m.w_hat, m.x_raw, m.z_hat, m.w_raw, m.w_z_hat,
+                       x_hat, m.z, w_hat, m.x, m.z, m.w_x, m.w_z,
                        *u, m.degenerate)
 
             state = step(state, s_total, tau, trap)

@@ -212,6 +212,10 @@ def quadrupole_drive(state, amplitude, drive_freq, n_periods, cfg, dt=SAMPLE_PER
     if not drive_freq > 0:
         raise ValueError("drive frequency must be positive")
     n_steps = int(round(n_periods * 2 * np.pi / drive_freq / dt))
+    if n_steps < 2:  # the first step samples sin(0): one step alone drives nothing
+        raise ValueError(f"a drive of drive_freq = {drive_freq!r} rad/s for n_periods = "
+                         f"{n_periods!r} spans under 1.5 steps of dt = {dt!r} s and "
+                         "would drive nothing")
     t_rel = 0.0
     for _ in range(n_steps):
         mod = amplitude * np.sin(drive_freq * t_rel)

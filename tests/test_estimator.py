@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +10,6 @@ from beccool import (
     ImageGrid,
     InSituEstimator,
     LowPass,
-    MeasurementVector,
     OpticsParams,
     PhaseParams,
     RegionMask,
@@ -22,6 +19,7 @@ from beccool import (
     make_reference,
     nonlinear_filter,
 )
+from beccool.estimator import Moments
 from conftest import band_limited_phase
 
 
@@ -44,7 +42,9 @@ def test_region_mask_properties(grid):
     with pytest.raises(ValueError):
         RegionMask(atoms=np.ones((4, 4), bool), background=np.ones((4, 4), bool))
     # the region constructor is the one place that tests the overlap
-    with pytest.raises(ValueError, match="atom region reaches into the background region"):
+    with pytest.raises(ValueError, match="atom region reaches into the background region: "
+                       r"estimator.region_halfwidth_px = 60 with "
+                       r"estimator.background_margin_frac = 0.15$"):
         RegionMask.centered(grid, halfwidth_px=60)
 
 
@@ -218,13 +218,6 @@ def test_lowpass_rejects_nan(cutoff, period):
         LowPass(cutoff, period)
 
 
-def test_measurement_vector_validation():
-    with pytest.raises(ValueError):
-        MeasurementVector(w_hat=-1.0)
-    with pytest.raises(ValueError):
-        MeasurementVector(x_hat=np.nan)
-
-
 def _render(grid, optics, x0=0.0, z0=0.0):
     return FrameRenderer(grid, optics).render(PhaseParams(x0=x0, z0=z0))
 
@@ -235,7 +228,7 @@ def test_pipeline_determinism(grid, optics, flat_ref):
     for _ in range(2):
         est = InSituEstimator(grid)
         m = est.process(frame, flat_ref, 0.0)
-        outs.append((m.x_hat, m.z_hat, m.w_hat, m.w_z_hat))
+        outs.append((m.x, m.z, m.w_x, m.w_z))
     assert outs[0] == outs[1]  # bit-for-bit
 
 
@@ -246,20 +239,10 @@ def test_estimator_unbiased_at_zero_noise(grid, optics, flat_ref):
     for frac in np.linspace(0.0, 1.0, 9):
         x0 = frac * grid.pitch
         z0 = (1.0 - frac) * 0.6 * grid.pitch
-        est = InSituEstimator(grid)  # independent frames: no filter memory
+        est = InSituEstimator(grid)
         m = est.process(_render(grid, optics, x0, z0), flat_ref, 0.0)
-        worst = max(worst, abs(m.x_raw - x0), abs(m.z_hat - z0))
+        worst = max(worst, abs(m.x - x0), abs(m.z - z0))
     assert worst <= 0.1 * grid.pitch
-
-
-def test_estimator_filters_x_not_z(grid, optics, flat_ref):
-    est = InSituEstimator(grid)
-    est.process(_render(grid, optics, 0.0, 0.0), flat_ref, 0.0)
-    m = est.process(_render(grid, optics, 4e-6, 4e-6), flat_ref, 1e-3)
-    # z reacts fully, x only by the filter coefficient
-    assert m.z_hat == pytest.approx(4e-6, abs=0.1 * grid.pitch)
-    alpha = LowPass(60.0, 1e-3).alpha
-    assert m.x_hat == pytest.approx(alpha * 4e-6, rel=0.05)
 
 
 def test_estimator_degenerate_frame_policy(grid, optics, flat_ref):
@@ -268,8 +251,8 @@ def test_estimator_degenerate_frame_policy(grid, optics, flat_ref):
     assert not good.degenerate
     held = est.process(flat_ref, flat_ref, 1e-3)  # empty frame: no mass
     assert held.degenerate
-    assert held.x_hat == good.x_hat and held.w_hat == good.w_hat
-    assert held.x_raw == good.x_raw and held.w_raw == good.w_raw
+    assert held == good._replace(degenerate=True)
+    assert held.x == good.x and held.w_x == good.w_x
 
 
 def test_estimator_degenerate_first_frame_raises(grid, flat_ref):
@@ -278,9 +261,9 @@ def test_estimator_degenerate_first_frame_raises(grid, flat_ref):
         est.process(flat_ref, flat_ref, 0.0)
 
 
-def test_rejected_frame_leaves_the_filters_untouched(grid, optics, flat_ref):
-    # a frame whose rho^6 mass overflows raises before either low-pass
-    # filter updates: the next good frame reads as if it never came
+def test_rejected_frame_leaves_the_estimator_untouched(grid, optics, flat_ref):
+    # a frame whose rho^6 mass overflows raises before the estimator holds
+    # its moments: the next good frame reads as if it never came
     good = _render(grid, optics, 1e-6, 0.0)
     bad = ImageGrid(grid, good.data.copy())
     bad.data[grid.nz // 2, grid.nx // 2] = 1e200
@@ -315,13 +298,11 @@ class _FullFrameEstimator(InSituEstimator):
         if mass <= self.cfg.degenerate_mass_fraction * (self._mass_ref or mass):
             if self.last is None:
                 raise ValueError(f"degenerate first frame at t={t:.4f}")
-            self.last = replace(self.last, degenerate=True)
+            self.last = self.last._replace(degenerate=True)
             return self.last
         x, z, w_x, w_z, _ = extract_moments(rho6, self.mask, self.grid)
         self._mass_ref = self._mass_ref or mass
-        self.last = MeasurementVector(x_hat=self.lp_x.update(x), z_hat=z,
-                                      w_hat=self.lp_w.update(w_x), w_z_hat=w_z,
-                                      x_raw=x, w_raw=w_x)
+        self.last = Moments(x, z, w_x, w_z, False)
         return self.last
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import beccool.cli as cli
 from beccool import (
+    EstimatorConfig,
     ExperimentConfig,
+    FrameRenderer,
     ImageGrid,
     LoopConfig,
     LowPass,
@@ -193,28 +195,71 @@ def test_absurd_delay_never_acts():
 
 
 def test_loop_sample_period_reaches_every_filter(monkeypatch):
-    # the controller and estimator default to the 1 ms period: a run at 0.5 ms
-    # must hand its own period to both
-    made = {}
+    # the controller defaults to the 1 ms period and the loop builds the two
+    # measurement filters: a run at 0.5 ms must hand its own period to all
+    made = {"filters": []}
 
     class Controller(harness.DerivativeController):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made["controller"] = self
 
-    class Estimator(harness.InSituEstimator):
+    class Filter(harness.LowPass):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            made["estimator"] = self
+            made["filters"].append(self)
 
     monkeypatch.setattr(harness, "DerivativeController", Controller)
-    monkeypatch.setattr(harness, "InSituEstimator", Estimator)
+    monkeypatch.setattr(harness, "LowPass", Filter)
     tau = 0.5e-3
     config = replace(NOISELESS, loop=LoopConfig(sample_period=tau, delay=480e-6))
     run_experiment(Scenario(kind="quiet", duration=0.005), config)
     assert [lp.alpha for lp in made["controller"]._lp] == [LowPass(100, tau).alpha] * 2
-    assert made["estimator"].lp_x.alpha == LowPass(60, tau).alpha
-    assert made["estimator"].lp_w.alpha == LowPass(100, tau).alpha
+    lp_x, lp_w = made["filters"]
+    assert lp_x.alpha == LowPass(60, tau).alpha
+    assert lp_w.alpha == LowPass(100, tau).alpha
+
+
+def test_loop_filters_x_not_z(monkeypatch, grid, optics):
+    # two frames, the cloud 4 um further along x and z in the second: the
+    # estimator sees them in place of the plant's
+    renderer = FrameRenderer(grid, optics)
+    frames = [renderer.render(PhaseParams(x0=x0, z0=x0)) for x0 in (0.0, 4e-6)]
+
+    class Estimator(harness.InSituEstimator):
+        def process(self, frame, reference, t):
+            return super().process(frames.pop(0), reference, t)
+
+    monkeypatch.setattr(harness, "InSituEstimator", Estimator)
+    rec = run_experiment(Scenario(kind="quiet", feedback=False, duration=0.002), NOISELESS)
+    # z reacts fully, x only by the filter coefficient
+    assert rec.column("z_hat")[1] == pytest.approx(4e-6, abs=0.1 * grid.pitch)
+    alpha = LowPass(60.0, 1e-3).alpha
+    assert rec.column("x_hat")[1] == pytest.approx(alpha * 4e-6, rel=0.05)
+
+
+@pytest.mark.parametrize("mass_fraction", [EstimatorConfig.degenerate_mass_fraction, 0.5])
+@pytest.mark.parametrize("feedback", [True, False])
+@pytest.mark.parametrize("camera", ["linear", "fresnel"])
+def test_record_filters_follow_the_raw_moments(camera, feedback, mass_fraction):
+    # noisy runs; a mass fraction of 0.5 holds a share of the frames
+    config = ExperimentConfig(loop=LoopConfig(render_model=camera),
+                              estimator=EstimatorConfig(degenerate_mass_fraction=mass_fraction))
+    rec = run_experiment(Scenario(kind="dipole_kick", feedback=feedback, duration=0.06, seed=5),
+                         config)
+    measured = ("x_hat", "z_hat", "w_hat", "x_raw", "z_raw", "w_raw", "wz_raw")
+    held = rec.column("degenerate").astype(bool)
+    assert held.any() == (mass_fraction == 0.5) and not held[0] and not held.all()
+    for i in np.flatnonzero(held):  # a held row repeats the previous one
+        assert [rec.column(c)[i] for c in measured] == [rec.column(c)[i - 1] for c in measured]
+    np.testing.assert_array_equal(rec.column("z_hat"), rec.column("z_raw"))
+    for hat, raw, cutoff in (("x_hat", "x_raw", config.estimator.x_cutoff_hz),
+                             ("w_hat", "w_raw", config.estimator.w_cutoff_hz)):
+        alpha = LowPass(cutoff, config.loop.sample_period).alpha
+        y, u = rec.column(hat), rec.column(raw)
+        assert y[0] == u[0]
+        for i in np.flatnonzero(~held[1:]) + 1:
+            assert y[i] == alpha * u[i] + (1 - alpha) * y[i - 1]
 
 
 def test_feedback_damps_kick_noiseless():
@@ -393,11 +438,18 @@ def test_infinite_enable_time_never_engages_feedback():
                                   np.column_stack(list(off.data.values())))
 
 
+_NOISE_FLOATS = ("photons_per_pixel", "offline_sigma", "process_velocity_std", "g_drift_scale")
+
+
 @pytest.mark.parametrize("call, match", [
     (lambda: monte_carlo(QUICK, n_runs=math.nan), "n_runs"),
     (lambda: monte_carlo(QUICK, n_runs=1, base_seed=math.nan), "base_seed"),
     (lambda: measure_pipeline_noise(n_frames=math.nan), "at least 2 frames"),
-], ids=["n_runs", "base_seed", "n_frames"])
+    *[(lambda name=name, value=value: NoiseConfig(**{name: value}),
+       f"^{name} must be finite and >= 0") for name in _NOISE_FLOATS
+      for value in (math.inf, math.nan)],
+], ids=["n_runs", "base_seed", "n_frames",
+        *[f"{name}={value}" for name in _NOISE_FLOATS for value in ("inf", "nan")]])
 def test_harness_guards_reject_nan(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -1022,8 +1074,11 @@ def test_cli_record_over_the_cap_is_one_config_error(tmp_path, capsys, command, 
 
 
 @pytest.mark.parametrize("line", ["scenario.duration_s = 2000\n",
-                                  "estimator.region_halfwidth_px = 60\n"],
-                         ids=["record-over-the-cap", "atom-region-in-background"])
+                                  "estimator.region_halfwidth_px = 60\n",
+                                  "scenario.kind = quadrupole_drive\n"
+                                  "scenario.drive_freq_rad_s = 1e5\n"],
+                         ids=["record-over-the-cap", "atom-region-in-background",
+                              "drive-under-half-a-sample"])
 @pytest.mark.parametrize("command", [["run", "--dump-frames"], ["ensemble", "--runs", "2"]],
                          ids=["run", "ensemble"])
 def test_cli_config_failing_before_sample_0_leaves_no_out(tmp_path, capsys, command, line):

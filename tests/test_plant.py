@@ -219,6 +219,20 @@ def _drive_energy(trap, amplitude, freq, n_periods):
     return mode_energies(state, trap)["w"]
 
 
+@pytest.mark.parametrize("drive_freq, steps", [(1e5, 0.25), (4 * 2 * np.pi / (1.4 * TAU), 1.4)])
+def test_quadrupole_drive_under_two_steps_raises(trap, drive_freq, steps):
+    # 0 steps drive nothing, and 1 step only samples sin(0) = 0
+    assert 4 * 2 * np.pi / drive_freq / TAU == pytest.approx(steps, abs=0.01)
+    with pytest.raises(ValueError, match=rf"drive_freq = {drive_freq!r} rad/s for n_periods = 4 "
+                                         r"spans under 1.5 steps of dt = 0.001 s"):
+        quadrupole_drive(equilibrium_state(trap), 1.0, drive_freq, 4, trap, dt=TAU)
+
+
+def test_quadrupole_drive_of_two_steps_drives(trap):
+    drive_freq = 4 * 2 * np.pi / (2.2 * TAU)  # rounds to 2 steps, the second off a node
+    assert _drive_energy(trap, 0.05 * trap.omega_x**2, drive_freq, 4) > 0
+
+
 def test_quadrupole_drive_zero_amplitude(trap):
     state = quadrupole_drive(equilibrium_state(trap), 0.0, trap.omega_q, 2, trap)
     assert state.w == pytest.approx(trap.w_eq0)
